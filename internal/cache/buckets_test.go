@@ -207,3 +207,173 @@ func TestBucketSetOrderInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// bucketModel is the naive reference for bucketSet: the victim order
+// as a plain slice of (program, count), maintained by linear scans.
+type bucketModel []struct {
+	p trace.ProgramID
+	c int
+}
+
+func (m bucketModel) find(p trace.ProgramID) int {
+	for i, e := range m {
+		if e.p == p {
+			return i
+		}
+	}
+	return -1
+}
+
+// insert places p at count c: after every entry with count <= c when
+// mru (most recently used in its bucket), else before every entry with
+// count >= c (least recently used).
+func (m bucketModel) insert(p trace.ProgramID, c int, mru bool) bucketModel {
+	i := 0
+	if mru {
+		for i < len(m) && m[i].c <= c {
+			i++
+		}
+	} else {
+		for i < len(m) && m[i].c < c {
+			i++
+		}
+	}
+	m = append(m[:i], append(bucketModel{{p, c}}, m[i:]...)...)
+	return m
+}
+
+func (m bucketModel) remove(i int) bucketModel {
+	return append(m[:i], m[i+1:]...)
+}
+
+// TestBucketSetMatchesModel replays random add/remove/touch/setCount
+// sequences against the naive model and compares the full victim order
+// — programs, counts and recency within each count — after every step.
+// Count moves cover ±1 steps, multi-step jumps and absolute targets;
+// with few programs and few counts, moves regularly empty their source
+// bucket and land on an existing one. The run fails if any of those
+// move shapes never occurred.
+func TestBucketSetMatchesModel(t *testing.T) {
+	type op struct {
+		Kind  uint8
+		P     uint8
+		Count uint8
+	}
+	var stepMoves, jumpMoves, emptiedSource, ontoExisting int
+	f := func(ops []op) bool {
+		s := newBucketSet()
+		var m bucketModel
+		for _, o := range ops {
+			p := trace.ProgramID(o.P % 12)
+			i := m.find(p)
+			switch o.Kind % 6 {
+			case 0: // add
+				if i < 0 {
+					c := int(o.Count % 6)
+					s.add(p, c)
+					m = m.insert(p, c, true)
+				}
+			case 1: // remove
+				if i >= 0 {
+					s.remove(p)
+					m = m.remove(i)
+				}
+			case 2: // touch
+				if i >= 0 {
+					s.touch(p)
+					c := m[i].c
+					m = m.remove(i).insert(p, c, true)
+				}
+			case 3, 4, 5: // setCount: ±1, a jump of 2-4, or an absolute target
+				if i < 0 {
+					continue
+				}
+				old := m[i].c
+				var c int
+				switch o.Kind % 6 {
+				case 3:
+					c = old + 1
+					if o.Count%2 == 1 && old > 0 {
+						c = old - 1
+					}
+					stepMoves++
+				case 4:
+					c = old + 2 + int(o.Count%3)
+					if o.Count%2 == 1 && old >= 2 {
+						c = old - 2 - int(o.Count%3)
+						if c < 0 {
+							c = 0
+						}
+					}
+					jumpMoves++
+				default:
+					c = int(o.Count % 8)
+				}
+				if c != old {
+					alone, existing := true, false
+					for j, e := range m {
+						if j != i && e.c == old {
+							alone = false
+						}
+						if e.c == c {
+							existing = true
+						}
+					}
+					if alone {
+						emptiedSource++
+					}
+					if existing {
+						ontoExisting++
+					}
+				}
+				s.setCount(p, c)
+				if c != old {
+					m = m.remove(i).insert(p, c, c > old)
+				}
+			}
+			if !bucketSetEquals(s, m) {
+				t.Logf("after op %+v: set %v, model %v", o, collect(s), m)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	if stepMoves == 0 || jumpMoves == 0 || emptiedSource == 0 || ontoExisting == 0 {
+		t.Errorf("move shapes not all exercised: ±1 %d, jumps %d, emptied source %d, onto existing bucket %d",
+			stepMoves, jumpMoves, emptiedSource, ontoExisting)
+	}
+}
+
+// bucketSetEquals compares the set's full victim order, size, minimum
+// and per-program counts against the model.
+func bucketSetEquals(s *bucketSet, m bucketModel) bool {
+	if s.len() != len(m) {
+		return false
+	}
+	i := 0
+	ok := true
+	s.ascend(func(p trace.ProgramID, c int) bool {
+		if i >= len(m) || m[i].p != p || m[i].c != c {
+			ok = false
+			return false
+		}
+		i++
+		return true
+	})
+	if !ok || i != len(m) {
+		return false
+	}
+	p, c, found := s.min()
+	if found != (len(m) > 0) || (found && (p != m[0].p || c != m[0].c)) {
+		return false
+	}
+	for _, e := range m {
+		if !s.contains(e.p) || s.count(e.p) != e.c {
+			return false
+		}
+	}
+	return true
+}

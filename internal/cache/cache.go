@@ -13,6 +13,32 @@
 // paper's model); segment placement across peers is handled by the core
 // package on top of the admission decisions and placement plans made
 // here.
+//
+// # Program table
+//
+// A Cache resolves each request's program once, to a dense Key in its
+// program table, and keeps per-program state on the request path in
+// slices indexed by Key: charged sizes, the victim-order nodes, the
+// windowed counts of the built-in frequency, size-frequency and oracle
+// scorers, and (through Pin) the core index server's placements. With a
+// Pipeline policy the table is the pipeline's own, shared by the Cache,
+// the victim order and the built-in scorer.
+//
+// The table holds exactly the programs with live state: cached, tracked
+// in a victim order, holding a nonzero windowed count in a built-in
+// scorer, or pinned by the cache's owner. It never holds the catalog,
+// so every keyed slice is sized by live state. When a key's last holder
+// lets go, the key is recycled and its generation bumped; a (key,
+// generation) pair memoized earlier then fails Live, and its holder
+// falls back to one lookup.
+//
+// Keys are handed out in arrival order, which differs after a restore
+// or a fork, so nothing iterates keys to produce a result or exported
+// state: eviction order comes from the victim-order lists, and the core
+// package exports placements in ProgramID order. Custom stages and the
+// recency2, second-touch and global-popularity stages keep their own
+// ProgramID maps; the fused v1 reference policies key their victim
+// orders by private tables.
 package cache
 
 import (
@@ -72,15 +98,67 @@ type AccessResult struct {
 // Cache is a byte-capacity cache of whole programs governed by a Policy.
 // It is the index server's view of the neighborhood's pooled storage: the
 // sum of the space every peer contributes (Section IV-B.3).
+//
+// A Cache resolves each requested program once, to a key in its program
+// table; per-program state is kept in slices indexed by that key. With a
+// Pipeline policy the table is the pipeline's own, shared with its
+// victim order and built-in scorer.
 type Cache struct {
 	policy   Policy
+	kp       keyedPolicy
 	admitter Admitter // policy's optional admission filter, nil if none
 	capacity units.ByteSize
 	used     units.ByteSize
-	sizes    map[trace.ProgramID]units.ByteSize
+	tab      *programTable
+	sizes    []units.ByteSize // charged size by key, valid while cached
+	n        int              // cached programs
+
+	// victims is a buffer Access reuses for victim keys.
+	victims []Key
 
 	hits   uint64
 	misses uint64
+}
+
+// keyedPolicy is the Cache's view of its policy: the Policy contract
+// with each program's key in the cache's table resolved once per
+// request. A Pipeline implements it natively; any other Policy is
+// driven through policyAdapter.
+type keyedPolicy interface {
+	Advance(now time.Duration)
+	// request records the request and returns p's key afterwards
+	// (NoKey when p holds no live state).
+	request(p trace.ProgramID, now time.Duration) Key
+	candidate(k Key, p trace.ProgramID, now time.Duration) int
+	admit(k Key, p trace.ProgramID, now time.Duration)
+	evict(k Key, p trace.ProgramID)
+	ascendKeys(yield func(k Key, p trace.ProgramID, value int) bool)
+}
+
+// policyAdapter drives a Policy that is not a Pipeline through the
+// keyed interface: the Cache's table holds only its own contents, and
+// programs are resolved there after each policy call.
+type policyAdapter struct {
+	Policy
+	tab *programTable
+}
+
+func (a policyAdapter) request(p trace.ProgramID, now time.Duration) Key {
+	a.OnRequest(p, now)
+	return a.tab.lookup(p)
+}
+
+func (a policyAdapter) candidate(_ Key, p trace.ProgramID, now time.Duration) int {
+	return a.CandidateValue(p, now)
+}
+
+func (a policyAdapter) admit(_ Key, p trace.ProgramID, now time.Duration) { a.OnAdmit(p, now) }
+func (a policyAdapter) evict(_ Key, p trace.ProgramID)                    { a.OnEvict(p) }
+
+func (a policyAdapter) ascendKeys(yield func(k Key, p trace.ProgramID, value int) bool) {
+	a.EvictionOrder(func(p trace.ProgramID, v int) bool {
+		return yield(a.tab.lookup(p), p, v)
+	})
 }
 
 // New returns an empty cache with the given byte capacity and policy.
@@ -91,16 +169,18 @@ func New(capacity units.ByteSize, policy Policy) (*Cache, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("cache: nil policy")
 	}
-	admitter, _ := policy.(Admitter)
-	if pl, ok := policy.(*Pipeline); ok && pl.admission == nil {
-		admitter = nil // stage absent: skip the per-miss filter call
+	c := &Cache{policy: policy, capacity: capacity}
+	c.admitter, _ = policy.(Admitter)
+	if pl, ok := policy.(*Pipeline); ok {
+		if pl.admission == nil {
+			c.admitter = nil // stage absent: skip the per-miss filter call
+		}
+		c.kp, c.tab = pl, pl.tab
+	} else {
+		c.tab = newProgramTable()
+		c.kp = policyAdapter{Policy: policy, tab: c.tab}
 	}
-	return &Cache{
-		policy:   policy,
-		admitter: admitter,
-		capacity: capacity,
-		sizes:    make(map[trace.ProgramID]units.ByteSize),
-	}, nil
+	return c, nil
 }
 
 // Capacity returns the configured byte capacity.
@@ -110,12 +190,19 @@ func (c *Cache) Capacity() units.ByteSize { return c.capacity }
 func (c *Cache) Used() units.ByteSize { return c.used }
 
 // Len returns the number of cached programs.
-func (c *Cache) Len() int { return len(c.sizes) }
+func (c *Cache) Len() int { return c.n }
 
 // Contains reports whether p is cached.
 func (c *Cache) Contains(p trace.ProgramID) bool {
-	_, ok := c.sizes[p]
-	return ok
+	_, cached := c.cachedKey(p)
+	return cached
+}
+
+// cachedKey returns p's key (NoKey when p holds none) and whether p is
+// cached.
+func (c *Cache) cachedKey(p trace.ProgramID) (Key, bool) {
+	k := c.tab.lookup(p)
+	return k, c.tab.held(k, holdCached)
 }
 
 // Hits and Misses return the access counters.
@@ -137,80 +224,93 @@ func (c *Cache) Policy() Policy { return c.policy }
 // Access processes a request for program p of the given stored size at
 // time now, applying the strategy's admission and eviction rules.
 func (c *Cache) Access(p trace.ProgramID, size units.ByteSize, now time.Duration) AccessResult {
+	res, _ := c.AccessKey(p, size, now)
+	return res
+}
+
+// AccessKey is Access that also returns p's key after the access, or
+// NoKey when p holds no live state. A key returned for an admitted
+// program stays live at least while p is cached.
+func (c *Cache) AccessKey(p trace.ProgramID, size units.ByteSize, now time.Duration) (AccessResult, Key) {
 	if size < 0 {
 		panic(fmt.Sprintf("cache: negative program size for %d", p))
 	}
-	c.policy.Advance(now)
-	c.policy.OnRequest(p, now)
+	c.kp.Advance(now)
+	k := c.kp.request(p, now)
 
-	if _, cached := c.sizes[p]; cached {
+	if c.tab.held(k, holdCached) {
 		c.hits++
-		return AccessResult{Hit: true}
+		return AccessResult{Hit: true}, k
 	}
 	c.misses++
 
 	if size == 0 || size > c.capacity {
-		return AccessResult{}
+		return AccessResult{}, k
 	}
 
 	// Policies implementing the optional Admitter extension can refuse
 	// admission outright (bypass-on-first-touch, size caps).
 	if c.admitter != nil && !c.admitter.ShouldAdmit(p, size, now) {
-		return AccessResult{}
+		return AccessResult{}, k
 	}
 
 	// Fast path: fits without eviction.
 	if c.used+size <= c.capacity {
-		c.admit(p, size, now)
-		return AccessResult{Admitted: true}
+		return AccessResult{Admitted: true}, c.admit(k, p, size, now)
 	}
 
 	// Collect victims in eviction order until the candidate fits. The
 	// candidate is admitted only if it is at least as valuable as every
 	// victim it displaces (ties admit: a fresh access wins LRU
-	// tie-breaks by definition).
-	candidate := c.policy.CandidateValue(p, now)
+	// tie-breaks by definition). p is uncached, so its key (held by a
+	// count or a pin, if any) survives the victims' evictions.
+	candidate := c.kp.candidate(k, p, now)
 	need := c.used + size - c.capacity
 	var victims []trace.ProgramID
 	var freed units.ByteSize
 	ok := true
-	var victimSizes []units.ByteSize
-	c.policy.EvictionOrder(func(v trace.ProgramID, value int) bool {
+	c.victims = c.victims[:0]
+	c.kp.ascendKeys(func(vk Key, v trace.ProgramID, value int) bool {
 		if value > candidate {
 			ok = false
 			return false
 		}
-		size := c.sizes[v]
+		if !c.tab.held(vk, holdCached) {
+			panic(fmt.Sprintf("cache: policy %q yielded uncached victim %d", c.policy.Name(), v))
+		}
 		victims = append(victims, v)
-		victimSizes = append(victimSizes, size)
-		freed += size
+		c.victims = append(c.victims, vk)
+		freed += c.sizes[vk]
 		return freed < need
 	})
 	if !ok || freed < need {
-		return AccessResult{}
+		return AccessResult{}, k
 	}
-	for i, v := range victims {
-		c.evictSized(v, victimSizes[i])
+	for i, vk := range c.victims {
+		c.evictKey(vk, victims[i])
 	}
-	c.admit(p, size, now)
-	return AccessResult{Admitted: true, Evicted: victims}
+	return AccessResult{Admitted: true, Evicted: victims}, c.admit(k, p, size, now)
 }
 
 // Evict forcibly removes p (used when external constraints, e.g. peer
 // storage reshuffling, require dropping a program). It reports whether p
 // was cached.
 func (c *Cache) Evict(p trace.ProgramID) bool {
-	if !c.Contains(p) {
+	k, cached := c.cachedKey(p)
+	if !cached {
 		return false
 	}
-	c.evict(p)
+	c.evictKey(k, p)
 	return true
 }
 
 // ChargedSize returns the admission size p was charged, if cached.
 func (c *Cache) ChargedSize(p trace.ProgramID) (units.ByteSize, bool) {
-	size, ok := c.sizes[p]
-	return size, ok
+	k, cached := c.cachedKey(p)
+	if !cached {
+		return 0, false
+	}
+	return c.sizes[k], true
 }
 
 // Restore re-admits a program at the given charged size without
@@ -220,40 +320,76 @@ func (c *Cache) ChargedSize(p trace.ProgramID) (units.ByteSize, bool) {
 // footprint goes back exactly as it was. The size must fit in the free
 // capacity (it just vacated it) and p must not be cached.
 func (c *Cache) Restore(p trace.ProgramID, size units.ByteSize, now time.Duration) {
-	if c.Contains(p) {
+	k, cached := c.cachedKey(p)
+	if cached {
 		panic(fmt.Sprintf("cache: restore of cached program %d", p))
 	}
 	if size < 0 || c.used+size > c.capacity {
 		panic(fmt.Sprintf("cache: restore of %d bytes does not fit (%v of %v used)", size, c.used, c.capacity))
 	}
-	c.admit(p, size, now)
+	c.admit(k, p, size, now)
 }
 
 // Contents returns the cached programs in eviction order (least valuable
 // first).
 func (c *Cache) Contents() []trace.ProgramID {
-	out := make([]trace.ProgramID, 0, len(c.sizes))
-	c.policy.EvictionOrder(func(p trace.ProgramID, _ int) bool {
+	out := make([]trace.ProgramID, 0, c.n)
+	c.kp.ascendKeys(func(_ Key, p trace.ProgramID, _ int) bool {
 		out = append(out, p)
 		return true
 	})
 	return out
 }
 
-func (c *Cache) admit(p trace.ProgramID, size units.ByteSize, now time.Duration) {
-	c.sizes[p] = size
+// The program table, for the cache's owner: the core index server keys
+// its per-program placements by the same table, pinning a program's key
+// for as long as it holds placement state.
+
+// Key returns p's key, or NoKey when p holds no live state.
+func (c *Cache) Key(p trace.ProgramID) Key { return c.tab.lookup(p) }
+
+// Generation returns the live key k's current generation: the pair
+// (k, Generation(k)) validates through Live until k is recycled.
+func (c *Cache) Generation(k Key) uint32 { return c.tab.slots[k].gen }
+
+// Live reports whether a (key, generation) pair memoized while the key
+// was live still names the same program.
+func (c *Cache) Live(k Key, gen uint32) bool { return c.tab.live(k, gen) }
+
+// Program returns the program the live key k stands for.
+func (c *Cache) Program(k Key) trace.ProgramID { return c.tab.program(k) }
+
+// Pin keeps the live key k from being recycled until Unpin, whatever
+// happens to its program's cache state.
+func (c *Cache) Pin(k Key) { c.tab.slots[k].holds |= holdPinned }
+
+// Unpin releases Pin; the key is recycled if nothing else holds it.
+func (c *Cache) Unpin(k Key) { c.tab.release(k, holdPinned) }
+
+// admit charges p at size under its key k (NoKey when p holds none),
+// tells the policy, and returns the key.
+func (c *Cache) admit(k Key, p trace.ProgramID, size units.ByteSize, now time.Duration) Key {
+	k = c.charge(k, p, size)
+	c.kp.admit(k, p, now)
+	return k
+}
+
+// charge adds p at size to the contents under its key k (NoKey when p
+// holds none) and returns the key.
+func (c *Cache) charge(k Key, p trace.ProgramID, size units.ByteSize) Key {
+	k = c.tab.hold(k, p, holdCached)
+	c.sizes = GrowKeyed(c.sizes, k)
+	c.sizes[k] = size
 	c.used += size
-	c.policy.OnAdmit(p, now)
+	c.n++
+	return k
 }
 
-func (c *Cache) evict(p trace.ProgramID) {
-	c.evictSized(p, c.sizes[p])
-}
-
-// evictSized is evict with the charged size already resolved, so the
-// eviction loop's size scan is not repeated per victim.
-func (c *Cache) evictSized(p trace.ProgramID, size units.ByteSize) {
-	c.used -= size
-	delete(c.sizes, p)
-	c.policy.OnEvict(p)
+// evictKey uncharges the cached program p under its key k. The policy
+// lets go first, so the key is still live while it does.
+func (c *Cache) evictKey(k Key, p trace.ProgramID) {
+	c.used -= c.sizes[k]
+	c.n--
+	c.kp.evict(k, p)
+	c.tab.release(k, holdCached)
 }

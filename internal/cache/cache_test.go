@@ -175,7 +175,11 @@ func TestCacheCapacityInvariant(t *testing.T) {
 			// Bookkeeping agrees with contents.
 			var sum units.ByteSize
 			for _, p := range c.Contents() {
-				sum += c.sizes[p]
+				size, ok := c.ChargedSize(p)
+				if !ok {
+					t.Fatalf("listed program %d has no charged size", p)
+				}
+				sum += size
 			}
 			if sum != c.Used() {
 				t.Errorf("sizes sum %v != used %v", sum, c.Used())

@@ -440,4 +440,4 @@ func (sc *GlobalScorer) OnEvict(p trace.ProgramID) {
 
 // scoreNow is the GlobalScorer's advanced-state fast path (see
 // scoredNow in pipeline.go).
-func (sc *GlobalScorer) scoreNow(p trace.ProgramID) int { return sc.global.count(p) }
+func (sc *GlobalScorer) scoreNow(_ Key, p trace.ProgramID) int { return sc.global.count(p) }

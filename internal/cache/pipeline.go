@@ -181,24 +181,49 @@ type PipelineConfig struct {
 // score) and drives the stages in the exact order the fused v1 policies
 // interleaved their bookkeeping, so a pipeline built from equivalent
 // stages reproduces a fused policy's decisions bit for bit.
+//
+// A pipeline also owns the program table its victim order and its
+// built-in scorer are keyed by; a Cache driving the pipeline adopts the
+// same table, so one request resolves its program once.
 type Pipeline struct {
 	name      string
 	scorer    Scorer
-	fast      scoredNow // scorer's read-only fast path, nil if none
+	fast      scoredNow   // scorer's read-only fast path, nil if none
+	keyed     keyedScorer // scorer's program-table fast path, nil if none
 	admission Admission
 	planner   Planner
 	tiebreak  Tiebreak
+	tab       *programTable
 	set       *bucketSet
 }
 
 // scoredNow is an optional Scorer fast path the built-in scorers
 // implement: the current score without the monotone-advance
-// bookkeeping. Only valid where the Policy contract guarantees the
-// scorer was already advanced to the access instant (inside an Access,
-// after Advance/OnRequest ran); the pipeline falls back to Score for
-// scorers without it.
+// bookkeeping, given p and its key in the pipeline's table (NoKey when
+// p holds no live state). Only valid where the Policy contract
+// guarantees the scorer was already advanced to the access instant
+// (inside an Access, after Advance/OnRequest ran); the pipeline falls
+// back to Score for scorers without it.
 type scoredNow interface {
-	scoreNow(p trace.ProgramID) int
+	scoreNow(k Key, p trace.ProgramID) int
+}
+
+// keyedScorer is the fast path of the built-in scorers that keep
+// per-program state: they key it by the pipeline's program table, bound
+// before any traffic, and report the requested program's key so the
+// pipeline resolves it once per request.
+type keyedScorer interface {
+	bindTable(t *programTable)
+	requestKey(p trace.ProgramID, now time.Duration) Key
+}
+
+// keyedSink is the ScoreSink fast path a keyed scorer resolves at Bind
+// time, used only when the sink shares the scorer's table: a score push
+// by key, a no-op for untracked programs. Sinks without it get the
+// Contains-then-Update sequence.
+type keyedSink interface {
+	table() *programTable
+	updateKey(k Key, score int)
 }
 
 var (
@@ -206,6 +231,8 @@ var (
 	_ Admitter         = (*Pipeline)(nil)
 	_ PlacementPlanner = (*Pipeline)(nil)
 	_ ScoreSink        = (*Pipeline)(nil)
+	_ keyedSink        = (*Pipeline)(nil)
+	_ keyedPolicy      = (*Pipeline)(nil)
 )
 
 // NewPipeline assembles a policy from stages.
@@ -222,25 +249,33 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		return nil, fmt.Errorf("cache: pipeline %q: invalid tiebreak %d", cfg.Name, cfg.Tiebreak)
 	}
 	fast, _ := cfg.Scorer.(scoredNow)
+	keyed, _ := cfg.Scorer.(keyedScorer)
+	tab := newProgramTable()
 	pl := &Pipeline{
 		name:      cfg.Name,
 		scorer:    cfg.Scorer,
 		fast:      fast,
+		keyed:     keyed,
 		admission: cfg.Admission,
 		planner:   cfg.Planner,
 		tiebreak:  cfg.Tiebreak,
-		set:       newBucketSet(),
+		tab:       tab,
+		set:       newBucketSetOn(tab),
+	}
+	if keyed != nil {
+		keyed.bindTable(tab)
 	}
 	pl.scorer.Bind(pl)
 	return pl, nil
 }
 
-// scoreAt returns p's score at now, using the scorer's advanced-state
-// fast path when it has one. Callers must be inside an access cycle
-// whose Advance/OnRequest already ran at now.
-func (pl *Pipeline) scoreAt(p trace.ProgramID, now time.Duration) int {
+// scoreKey returns p's score at now, using the scorer's advanced-state
+// fast path when it has one. k is p's key (NoKey when p holds none).
+// Callers must be inside an access cycle whose Advance/OnRequest
+// already ran at now.
+func (pl *Pipeline) scoreKey(k Key, p trace.ProgramID, now time.Duration) int {
 	if pl.fast != nil {
-		return pl.fast.scoreNow(p)
+		return pl.fast.scoreNow(k, p)
 	}
 	return pl.scorer.Score(p, now)
 }
@@ -251,29 +286,47 @@ func (pl *Pipeline) Name() string { return pl.name }
 // Scorer returns the valuation stage.
 func (pl *Pipeline) Scorer() Scorer { return pl.scorer }
 
+// Planner returns the segment-placement stage, nil if none.
+func (pl *Pipeline) Planner() Planner { return pl.planner }
+
 // Advance moves the scorer's clock, processing pending decay.
 func (pl *Pipeline) Advance(now time.Duration) { pl.scorer.Advance(now) }
 
 // OnRequest records the request with every stage, then refreshes the
-// cached entry's score and (under TiebreakLRU) recency. The entry is
-// resolved once and the node-based bucket operations reuse it — this
-// runs for every submitted record.
-func (pl *Pipeline) OnRequest(p trace.ProgramID, now time.Duration) {
-	pl.scorer.OnRequest(p, now)
+// cached entry's score and (under TiebreakLRU) recency.
+func (pl *Pipeline) OnRequest(p trace.ProgramID, now time.Duration) { pl.request(p, now) }
+
+// request is OnRequest returning p's key. The key is resolved once —
+// by a keyed scorer while it counts the request, else by one table
+// lookup — and the entry's bucket moves reuse it; this runs for every
+// submitted record.
+func (pl *Pipeline) request(p trace.ProgramID, now time.Duration) Key {
+	var k Key
+	if pl.keyed != nil {
+		k = pl.keyed.requestKey(p, now)
+	} else {
+		pl.scorer.OnRequest(p, now)
+		k = pl.tab.lookup(p)
+	}
 	if pl.admission != nil {
 		pl.admission.OnRequest(p, now)
 	}
-	if n := pl.set.node(p); n != nil {
-		pl.set.setCountNode(n, pl.scoreAt(p, now))
+	if n := pl.set.node(k); n != nil {
+		pl.set.setCountNode(n, pl.scoreKey(k, p, now))
 		if pl.tiebreak == TiebreakLRU {
 			pl.set.touchNode(n)
 		}
 	}
+	return k
 }
 
 // CandidateValue returns the scorer's value for the uncached candidate.
 func (pl *Pipeline) CandidateValue(p trace.ProgramID, now time.Duration) int {
-	return pl.scoreAt(p, now)
+	return pl.scoreKey(pl.tab.lookup(p), p, now)
+}
+
+func (pl *Pipeline) candidate(k Key, p trace.ProgramID, now time.Duration) int {
+	return pl.scoreKey(k, p, now)
 }
 
 // ShouldAdmit consults the admission stage (no stage admits always).
@@ -295,13 +348,23 @@ func (pl *Pipeline) PlacementPlan(p trace.ProgramID, now time.Duration, def Plan
 
 // OnAdmit starts tracking p at its current score.
 func (pl *Pipeline) OnAdmit(p trace.ProgramID, now time.Duration) {
-	pl.set.add(p, pl.scoreAt(p, now))
+	pl.admit(pl.tab.lookup(p), p, now)
+}
+
+func (pl *Pipeline) admit(k Key, p trace.ProgramID, now time.Duration) {
+	pl.set.addKey(k, p, pl.scoreKey(k, p, now))
 	pl.scorer.OnAdmit(p, now)
 }
 
 // OnEvict stops tracking p.
-func (pl *Pipeline) OnEvict(p trace.ProgramID) {
-	pl.set.remove(p)
+func (pl *Pipeline) OnEvict(p trace.ProgramID) { pl.evict(pl.tab.lookup(p), p) }
+
+func (pl *Pipeline) evict(k Key, p trace.ProgramID) {
+	n := pl.set.node(k)
+	if n == nil {
+		panic(fmt.Sprintf("cache: program %d not tracked", p))
+	}
+	pl.set.removeNode(n)
 	pl.scorer.OnEvict(p)
 }
 
@@ -311,23 +374,21 @@ func (pl *Pipeline) EvictionOrder(yield func(p trace.ProgramID, value int) bool)
 	pl.set.ascend(yield)
 }
 
+func (pl *Pipeline) ascendKeys(yield func(k Key, p trace.ProgramID, value int) bool) {
+	pl.set.ascendKeys(yield)
+}
+
 // Contains implements ScoreSink.
 func (pl *Pipeline) Contains(p trace.ProgramID) bool { return pl.set.contains(p) }
 
 // Update implements ScoreSink.
 func (pl *Pipeline) Update(p trace.ProgramID, score int) { pl.set.setCount(p, score) }
 
-// cachedUpdater is an optional ScoreSink fast path: the fused
-// Contains-then-Update sequence as one lookup. Scorers resolve it once
-// at Bind time; sinks without it get the two-call sequence.
-type cachedUpdater interface {
-	UpdateIfCached(p trace.ProgramID, score int)
-}
+// table and updateKey implement keyedSink.
+func (pl *Pipeline) table() *programTable { return pl.tab }
 
-// UpdateIfCached implements cachedUpdater: re-score p when cached, no-op
-// otherwise.
-func (pl *Pipeline) UpdateIfCached(p trace.ProgramID, score int) {
-	if n := pl.set.node(p); n != nil {
+func (pl *Pipeline) updateKey(k Key, score int) {
+	if n := pl.set.node(k); n != nil {
 		pl.set.setCountNode(n, score)
 	}
 }
@@ -337,15 +398,15 @@ func (pl *Pipeline) UpdateIfCached(p trace.ProgramID, score int) {
 // global-lfu snapshot rebuild.
 func (pl *Pipeline) Rescore(score func(p trace.ProgramID) int) {
 	type pair struct {
-		p trace.ProgramID
+		k Key
 		c int
 	}
 	updates := make([]pair, 0, pl.set.len())
-	pl.set.ascend(func(p trace.ProgramID, _ int) bool {
-		updates = append(updates, pair{p: p, c: score(p)})
+	pl.set.ascendKeys(func(k Key, p trace.ProgramID, _ int) bool {
+		updates = append(updates, pair{k: k, c: score(p)})
 		return true
 	})
 	for _, u := range updates {
-		pl.set.setCount(u.p, u.c)
+		pl.set.setCountNode(pl.set.node(u.k), u.c)
 	}
 }

@@ -45,15 +45,26 @@ func (c *constantScorer) OnEvict(trace.ProgramID)                  {}
 type frequencyScorer struct {
 	history time.Duration
 
-	counts map[trace.ProgramID]int
+	// counts is the windowed access count by program-table key; a
+	// nonzero count holds its program's key. tab is the bound
+	// pipeline's table, or a private one for a scorer used on its own.
+	tab    *programTable
+	counts []int32
 	sink   ScoreSink
-	up     cachedUpdater // sink's fused fast path, nil if none
+	up     keyedSink // sink's keyed fast path, nil if none
 
 	// expiry is a FIFO of recorded accesses; times are monotone, so a
-	// plain queue suffices to decay counts as the window slides.
-	expiry []expiryEvent
+	// plain queue suffices to decay counts as the window slides. Each
+	// entry carries the key it was counted under (its pending count
+	// keeps the key live until it expires).
+	expiry []keyedExpiry
 	head   int
 	now    time.Duration
+}
+
+type keyedExpiry struct {
+	at  time.Duration // time the access leaves the window
+	key Key
 }
 
 // NewFrequencyScorer returns a windowed-frequency scorer.
@@ -61,16 +72,41 @@ func NewFrequencyScorer(history time.Duration) (Scorer, error) {
 	if history < 0 {
 		return nil, fmt.Errorf("cache: negative frequency history %v", history)
 	}
-	return &frequencyScorer{
-		history: history,
-		counts:  make(map[trace.ProgramID]int),
-	}, nil
+	return &frequencyScorer{history: history, tab: newProgramTable()}, nil
 }
 
 func (f *frequencyScorer) Name() string { return "freq" }
 func (f *frequencyScorer) Bind(sink ScoreSink) {
 	f.sink = sink
-	f.up, _ = sink.(cachedUpdater)
+	f.up = keyedSinkOn(sink, f.tab)
+}
+
+// keyedSinkOn returns sink's keyed fast path when it shares tab.
+func keyedSinkOn(sink ScoreSink, tab *programTable) keyedSink {
+	if ks, ok := sink.(keyedSink); ok && ks.table() == tab {
+		return ks
+	}
+	return nil
+}
+
+func (f *frequencyScorer) bindTable(t *programTable) { f.tab = t }
+
+// countOf returns the windowed count of key k (NoKey allowed).
+func (f *frequencyScorer) countOf(k Key) int {
+	if uint(k) < uint(len(f.counts)) {
+		return int(f.counts[k])
+	}
+	return 0
+}
+
+// pushKey delivers key k's new score to the sink: by key when the
+// sink shares the table, else by program when the sink caches it.
+func pushKey(up keyedSink, sink ScoreSink, tab *programTable, k Key, score int) {
+	if up != nil {
+		up.updateKey(k, score)
+	} else if p := tab.program(k); sink.Contains(p) {
+		sink.Update(p, score)
+	}
 }
 
 // Advance slides the history window to end at now, decaying counts and
@@ -81,19 +117,13 @@ func (f *frequencyScorer) Advance(now time.Duration) {
 	}
 	f.now = now
 	for f.head < len(f.expiry) && f.expiry[f.head].at <= now {
-		e := f.expiry[f.head]
+		k := f.expiry[f.head].key
 		f.head++
-		c := f.counts[e.program] - 1
-		if c <= 0 {
-			delete(f.counts, e.program)
-			c = 0
-		} else {
-			f.counts[e.program] = c
-		}
-		if f.up != nil {
-			f.up.UpdateIfCached(e.program, c)
-		} else if f.sink.Contains(e.program) {
-			f.sink.Update(e.program, c)
+		c := f.counts[k] - 1
+		f.counts[k] = c
+		pushKey(f.up, f.sink, f.tab, k, int(c))
+		if c == 0 {
+			f.tab.release(k, holdCounted)
 		}
 	}
 	if f.head > 1024 && f.head*2 > len(f.expiry) {
@@ -103,17 +133,25 @@ func (f *frequencyScorer) Advance(now time.Duration) {
 	}
 }
 
-func (f *frequencyScorer) OnRequest(p trace.ProgramID, now time.Duration) {
+func (f *frequencyScorer) OnRequest(p trace.ProgramID, now time.Duration) { f.requestKey(p, now) }
+
+// requestKey implements keyedScorer: the request is counted under p's
+// key, which the count holds for the length of the window.
+func (f *frequencyScorer) requestKey(p trace.ProgramID, now time.Duration) Key {
 	f.Advance(now)
-	if f.history > 0 {
-		f.counts[p]++
-		f.expiry = append(f.expiry, expiryEvent{program: p, at: now + f.history})
+	if f.history <= 0 {
+		return f.tab.lookup(p)
 	}
+	k := f.tab.acquire(p, holdCounted)
+	f.counts = GrowKeyed(f.counts, k)
+	f.counts[k]++
+	f.expiry = append(f.expiry, keyedExpiry{key: k, at: now + f.history})
+	return k
 }
 
 func (f *frequencyScorer) Score(p trace.ProgramID, now time.Duration) int {
 	f.Advance(now)
-	return f.counts[p]
+	return f.countOf(f.tab.lookup(p))
 }
 
 func (f *frequencyScorer) OnAdmit(trace.ProgramID, time.Duration) {}
@@ -127,16 +165,29 @@ func (f *frequencyScorer) OnEvict(trace.ProgramID)                {}
 type oracleScorer struct {
 	lookahead time.Duration
 
-	counts map[trace.ProgramID]int
+	// counts is the in-window access count by program-table key; a
+	// nonzero count holds its program's key (see frequencyScorer).
+	tab    *programTable
+	counts []int32
 	sink   ScoreSink
-	up     cachedUpdater // sink's fused fast path, nil if none
+	up     keyedSink // sink's keyed fast path, nil if none
 
-	incs    []futureAccess
+	// incs[i] is access i entering the window and decs[i] the same
+	// access leaving it (the streams are one time-sorted index, shifted
+	// by the lookahead). An entry records the key it counted under, so
+	// the matching exit needs no lookup.
+	incs    []oracleEntry
 	decs    []futureAccess
 	incHead int
 	decHead int
 	now     time.Duration
 	started bool
+}
+
+type oracleEntry struct {
+	at      time.Duration
+	program trace.ProgramID
+	key     Key
 }
 
 // NewOracleScorer returns a future-knowledge scorer over idx.
@@ -149,12 +200,12 @@ func NewOracleScorer(idx *FutureIndex, lookahead time.Duration) (Scorer, error) 
 	}
 	o := &oracleScorer{
 		lookahead: lookahead,
-		counts:    make(map[trace.ProgramID]int),
+		tab:       newProgramTable(),
 		decs:      idx.all,
 	}
-	o.incs = make([]futureAccess, len(idx.all))
+	o.incs = make([]oracleEntry, len(idx.all))
 	for i, a := range idx.all {
-		o.incs[i] = futureAccess{at: a.at - lookahead, program: a.program}
+		o.incs[i] = oracleEntry{at: a.at - lookahead, program: a.program}
 	}
 	return o, nil
 }
@@ -162,7 +213,16 @@ func NewOracleScorer(idx *FutureIndex, lookahead time.Duration) (Scorer, error) 
 func (o *oracleScorer) Name() string { return "future" }
 func (o *oracleScorer) Bind(sink ScoreSink) {
 	o.sink = sink
-	o.up, _ = sink.(cachedUpdater)
+	o.up = keyedSinkOn(sink, o.tab)
+}
+
+func (o *oracleScorer) bindTable(t *programTable) { o.tab = t }
+
+func (o *oracleScorer) countOf(k Key) int {
+	if uint(k) < uint(len(o.counts)) {
+		return int(o.counts[k])
+	}
+	return 0
 }
 
 // Advance slides the future window to [now, now+lookahead), pushing
@@ -174,39 +234,39 @@ func (o *oracleScorer) Advance(now time.Duration) {
 	o.now = now
 	o.started = true
 	for o.incHead < len(o.incs) && o.incs[o.incHead].at <= now {
-		p := o.incs[o.incHead].program
+		e := &o.incs[o.incHead]
 		o.incHead++
-		c := o.counts[p] + 1
-		o.counts[p] = c
-		if o.up != nil {
-			o.up.UpdateIfCached(p, c)
-		} else if o.sink.Contains(p) {
-			o.sink.Update(p, c)
-		}
+		k := o.tab.acquire(e.program, holdCounted)
+		e.key = k
+		o.counts = GrowKeyed(o.counts, k)
+		o.counts[k]++
+		pushKey(o.up, o.sink, o.tab, k, int(o.counts[k]))
 	}
+	// An access leaves the window lookahead after it entered, so its
+	// entry was processed above or earlier and recorded the key.
 	for o.decHead < len(o.decs) && o.decs[o.decHead].at <= now {
-		p := o.decs[o.decHead].program
+		k := o.incs[o.decHead].key
 		o.decHead++
-		c := o.counts[p] - 1
-		if c <= 0 {
-			delete(o.counts, p)
-			c = 0
-		} else {
-			o.counts[p] = c
-		}
-		if o.up != nil {
-			o.up.UpdateIfCached(p, c)
-		} else if o.sink.Contains(p) {
-			o.sink.Update(p, c)
+		c := o.counts[k] - 1
+		o.counts[k] = c
+		pushKey(o.up, o.sink, o.tab, k, int(c))
+		if c == 0 {
+			o.tab.release(k, holdCounted)
 		}
 	}
 }
 
 func (o *oracleScorer) OnRequest(_ trace.ProgramID, now time.Duration) { o.Advance(now) }
 
+// requestKey implements keyedScorer.
+func (o *oracleScorer) requestKey(p trace.ProgramID, now time.Duration) Key {
+	o.Advance(now)
+	return o.tab.lookup(p)
+}
+
 func (o *oracleScorer) Score(p trace.ProgramID, now time.Duration) int {
 	o.Advance(now)
-	return o.counts[p]
+	return o.countOf(o.tab.lookup(p))
 }
 
 func (o *oracleScorer) OnAdmit(trace.ProgramID, time.Duration) {}
@@ -306,9 +366,13 @@ func (s *sizeFrequencyScorer) Name() string { return "size-freq" }
 // Bind interposes a rescaling sink: the inner frequency scorer pushes
 // raw count decays, which are translated to scaled scores.
 func (s *sizeFrequencyScorer) Bind(sink ScoreSink) {
-	rs := &rescaleSink{scorer: s, sink: sink}
-	rs.up, _ = sink.(cachedUpdater)
+	rs := &rescaleSink{scorer: s, sink: sink, up: keyedSinkOn(sink, s.freq.tab)}
 	s.freq.Bind(rs)
+}
+
+func (s *sizeFrequencyScorer) bindTable(t *programTable) { s.freq.bindTable(t) }
+func (s *sizeFrequencyScorer) requestKey(p trace.ProgramID, now time.Duration) Key {
+	return s.freq.requestKey(p, now)
 }
 
 func (s *sizeFrequencyScorer) Advance(now time.Duration) { s.freq.Advance(now) }
@@ -326,24 +390,21 @@ func (s *sizeFrequencyScorer) OnEvict(trace.ProgramID)                {}
 type rescaleSink struct {
 	scorer *sizeFrequencyScorer
 	sink   ScoreSink
-	up     cachedUpdater // outer sink's fused fast path, nil if none
+	up     keyedSink // outer sink's keyed fast path, nil if none
 }
 
 func (r *rescaleSink) Contains(p trace.ProgramID) bool { return r.sink.Contains(p) }
 func (r *rescaleSink) Update(p trace.ProgramID, count int) {
 	r.sink.Update(p, r.scorer.value(p, count))
 }
-func (r *rescaleSink) UpdateIfCached(p trace.ProgramID, count int) {
-	v := r.scorer.value(p, count)
-	if r.up != nil {
-		r.up.UpdateIfCached(p, v)
-		return
-	}
-	if r.sink.Contains(p) {
-		r.sink.Update(p, v)
-	}
-}
 func (r *rescaleSink) Rescore(score func(p trace.ProgramID) int) { r.sink.Rescore(score) }
+
+// table and updateKey implement keyedSink over the inner scorer's table.
+func (r *rescaleSink) table() *programTable { return r.scorer.freq.tab }
+func (r *rescaleSink) updateKey(k Key, count int) {
+	p := r.scorer.freq.tab.program(k)
+	pushKey(r.up, r.sink, r.scorer.freq.tab, k, r.scorer.value(p, count))
+}
 
 // secondTouchAdmission bypasses the cache on a program's first-ever
 // request: only programs requested at least twice may be admitted.
@@ -433,8 +494,10 @@ func (pp *popularityPrefixPlanner) PlacementPlan(p trace.ProgramID, now time.Dur
 
 // Advanced-state fast paths (see scoredNow in pipeline.go): the current
 // score without re-running the monotone-advance bookkeeping.
-func (c *constantScorer) scoreNow(trace.ProgramID) int        { return c.score }
-func (f *frequencyScorer) scoreNow(p trace.ProgramID) int     { return f.counts[p] }
-func (o *oracleScorer) scoreNow(p trace.ProgramID) int        { return o.counts[p] }
-func (r *recency2Scorer) scoreNow(p trace.ProgramID) int      { return r.Score(p, 0) }
-func (s *sizeFrequencyScorer) scoreNow(p trace.ProgramID) int { return s.value(p, s.freq.counts[p]) }
+func (c *constantScorer) scoreNow(Key, trace.ProgramID) int      { return c.score }
+func (f *frequencyScorer) scoreNow(k Key, _ trace.ProgramID) int { return f.countOf(k) }
+func (o *oracleScorer) scoreNow(k Key, _ trace.ProgramID) int    { return o.countOf(k) }
+func (r *recency2Scorer) scoreNow(_ Key, p trace.ProgramID) int  { return r.Score(p, 0) }
+func (s *sizeFrequencyScorer) scoreNow(k Key, p trace.ProgramID) int {
+	return s.value(p, s.freq.countOf(k))
+}

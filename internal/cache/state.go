@@ -28,9 +28,9 @@ type Entry struct {
 // Entries returns the cached programs with their charged sizes, in
 // eviction order (least valuable first).
 func (c *Cache) Entries() []Entry {
-	out := make([]Entry, 0, len(c.sizes))
-	c.policy.EvictionOrder(func(p trace.ProgramID, _ int) bool {
-		out = append(out, Entry{Program: p, Size: c.sizes[p]})
+	out := make([]Entry, 0, c.n)
+	c.kp.ascendKeys(func(k Key, p trace.ProgramID, _ int) bool {
+		out = append(out, Entry{Program: p, Size: c.sizes[k]})
 		return true
 	})
 	return out
@@ -44,8 +44,8 @@ func (c *Cache) Entries() []Entry {
 // separately (same-strategy restore) and only the container's byte
 // accounting is rebuilt.
 func (c *Cache) RestoreEntries(entries []Entry, now time.Duration, seed bool) error {
-	if c.used != 0 || len(c.sizes) != 0 {
-		return fmt.Errorf("cache: restore into a non-empty cache (%d programs)", len(c.sizes))
+	if c.used != 0 || c.n != 0 {
+		return fmt.Errorf("cache: restore into a non-empty cache (%d programs)", c.n)
 	}
 	if seed {
 		c.policy.Advance(now)
@@ -54,16 +54,16 @@ func (c *Cache) RestoreEntries(entries []Entry, now time.Duration, seed bool) er
 		if e.Size < 0 {
 			return fmt.Errorf("cache: restore of program %d with negative size %v", e.Program, e.Size)
 		}
-		if _, dup := c.sizes[e.Program]; dup {
+		k, dup := c.cachedKey(e.Program)
+		if dup {
 			return fmt.Errorf("cache: restore of duplicate program %d", e.Program)
 		}
 		if c.used+e.Size > c.capacity {
 			return fmt.Errorf("cache: restored contents exceed capacity %v", c.capacity)
 		}
-		c.sizes[e.Program] = e.Size
-		c.used += e.Size
+		k = c.charge(k, e.Program, e.Size)
 		if seed {
-			c.policy.OnAdmit(e.Program, now)
+			c.kp.admit(k, e.Program, now)
 		}
 	}
 	return nil
@@ -88,14 +88,16 @@ func (c *Cache) SetCapacity(capacity units.ByteSize) ([]trace.ProgramID, error) 
 		return nil, nil
 	}
 	var victims []trace.ProgramID
+	var keys []Key
 	var freed units.ByteSize
-	c.policy.EvictionOrder(func(p trace.ProgramID, _ int) bool {
+	c.kp.ascendKeys(func(k Key, p trace.ProgramID, _ int) bool {
 		victims = append(victims, p)
-		freed += c.sizes[p]
+		keys = append(keys, k)
+		freed += c.sizes[k]
 		return c.used-freed > capacity
 	})
-	for _, v := range victims {
-		c.evict(v)
+	for i, k := range keys {
+		c.evictKey(k, victims[i])
 	}
 	return victims, nil
 }
@@ -230,7 +232,7 @@ func (c *constantScorer) restoreStage([]byte) error      { return nil }
 // frequencyScorerState is the windowed-frequency scorer's wire form: the
 // clock and the pending expiry queue. Counts are not serialized — each
 // recorded access contributes exactly one pending expiry entry until it
-// decays, so the counts map is rebuilt from the queue.
+// decays, so the counts are rebuilt from the queue.
 type frequencyScorerState struct {
 	Now     time.Duration
 	Pending []frequencyAccessState
@@ -244,7 +246,7 @@ type frequencyAccessState struct {
 func (f *frequencyScorer) snapshotStage() ([]byte, error) {
 	st := frequencyScorerState{Now: f.now}
 	for _, e := range f.expiry[f.head:] {
-		st.Pending = append(st.Pending, frequencyAccessState{Program: e.program, At: e.at})
+		st.Pending = append(st.Pending, frequencyAccessState{Program: f.tab.program(e.key), At: e.at})
 	}
 	return encodeStage(&st)
 }
@@ -257,12 +259,17 @@ func (f *frequencyScorer) restoreStage(data []byte) error {
 	f.now = st.Now
 	f.head = 0
 	f.expiry = f.expiry[:0]
-	for p := range f.counts {
-		delete(f.counts, p)
+	for k, c := range f.counts {
+		if c > 0 {
+			f.tab.release(Key(k), holdCounted)
+		}
 	}
+	clear(f.counts)
 	for _, a := range st.Pending {
-		f.expiry = append(f.expiry, expiryEvent{program: a.Program, at: a.At})
-		f.counts[a.Program]++
+		k := f.tab.acquire(a.Program, holdCounted)
+		f.counts = GrowKeyed(f.counts, k)
+		f.counts[k]++
+		f.expiry = append(f.expiry, keyedExpiry{key: k, at: a.At})
 	}
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"cablevod/internal/eventq"
 	"cablevod/internal/hfc"
 	"cablevod/internal/segment"
-	"cablevod/internal/trace"
 	"cablevod/internal/units"
 )
 
@@ -230,7 +229,7 @@ func (is *IndexServer) ApplyPeerCapacities(caps []units.ByteSize) int {
 		panic(err) // capacity is a sum of validated non-negatives
 	}
 	for _, v := range victims {
-		is.releasePlacement(v)
+		is.releasePlacement(is.cache.Key(v))
 	}
 
 	// Shed remaining copies from boxes still over capacity, program by
@@ -239,18 +238,14 @@ func (is *IndexServer) ApplyPeerCapacities(caps []units.ByteSize) int {
 	// the central server until churn re-places them.
 	shed := false
 	if is.anyPeerOverCapacity() {
-		progs := make([]trace.ProgramID, 0, len(is.placement))
-		for p := range is.placement {
-			progs = append(progs, p)
-		}
-		sort.Slice(progs, func(i, j int) bool { return progs[i] < progs[j] })
-		for _, p := range progs {
-			pp := is.placement[p]
-			length := is.lengths(p)
-			for idx := range pp.slots {
+		for _, k := range is.placedKeys() {
+			pp := &is.placement[k]
+			length := is.lengths(is.cache.Program(k))
+			for idx := range pp.segs() {
 				size := segment.SizeOf(length, idx)
-				kept := pp.slots[idx][:0]
-				for _, pi := range pp.slots[idx] {
+				copies := pp.copies(idx)
+				kept := copies[:0]
+				for _, pi := range copies {
 					peer := peers[pi]
 					if peer.StorageUsed() > peer.StorageCapacity() {
 						peer.Release(size)
@@ -259,7 +254,7 @@ func (is *IndexServer) ApplyPeerCapacities(caps []units.ByteSize) int {
 					}
 					kept = append(kept, pi)
 				}
-				pp.slots[idx] = kept
+				pp.segment(idx)[0] = int32(len(kept))
 			}
 		}
 	}
@@ -286,7 +281,7 @@ func (is *IndexServer) ColdRestart() int {
 	progs := is.cache.Contents()
 	for _, p := range progs {
 		is.cache.Evict(p)
-		is.releasePlacement(p)
+		is.releasePlacement(is.cache.Key(p))
 	}
 	if len(progs) > 0 {
 		is.generation++

@@ -24,7 +24,7 @@ func TestReplicationPlacesMultipleCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	is.OnSessionStart(1, 0)
-	slots := is.placement[1].slots
+	slots := mustPlacementSlots(t, is, 1)
 	for idx, copies := range slots {
 		if len(copies) != 3 {
 			t.Errorf("segment %d has %d copies, want 3", idx, len(copies))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"cablevod/internal/cache"
@@ -66,10 +67,12 @@ type IndexServer struct {
 	nb    *hfc.Neighborhood
 	cache *cache.Cache
 
-	// placement maps a cached program to its resolved placement plan
-	// and the peers holding each cached segment (one entry per
-	// replica); empty slots are not yet filled.
-	placement map[trace.ProgramID]*programPlacement
+	// placement holds, by the cache's program-table key, a cached
+	// program's resolved placement plan and the peers holding its
+	// copies. A placed program's key is pinned in the cache's table
+	// until its placement is released, so the key cannot be recycled
+	// under it.
+	placement []programPlacement
 
 	// lengths resolves program playback lengths.
 	lengths func(trace.ProgramID) time.Duration
@@ -106,24 +109,89 @@ type IndexServer struct {
 
 // programPlacement is the per-program placement state: the plan the
 // program was admitted under and the peers holding each cached segment.
+// The zero value is "not placed".
 type programPlacement struct {
-	// slots holds, per cached segment, the neighborhood peer indexes
-	// (positions in Neighborhood.Peers, equal to box ID.Index) storing a
-	// copy — one entry per placed replica; empty slots are not yet
-	// filled. Indexes instead of pointers keep the placement tables out
-	// of the garbage collector's pointer scan: at scale they are the
-	// largest live structure in a shard.
-	slots [][]int32
-	// replicas is the plan's copy count per segment.
-	replicas int
+	// cells holds, per cached segment, stride cells: a copy count, then
+	// the neighborhood peer indexes (positions in Neighborhood.Peers,
+	// equal to box ID.Index) storing a copy, one per placed replica.
+	// Copies sit on distinct peers, so an admitted placement's stride is
+	// fullStride(replicas); a restored one is only as wide as the copies
+	// it carries and widens on the first fill past that. One int32 array
+	// per program keeps the copies out of the garbage collector's
+	// pointer scan, and a segment request reaches them in one hop.
+	cells  []int32
+	stride int32
+	// replicas is the plan's copy count per segment; 0 means not placed.
+	replicas int32
 	// rejectedSegs/rejectedReps/rejectedGen memoize the last rejected
 	// plan upgrade: the footprint that lost the victim comparison and
 	// the cache generation it lost at. The upgrade is retried only when
 	// the wanted footprint or the cache contents have changed since, so
 	// a standing rejection costs a plain hit, not an evict-and-restore
 	// cycle per request.
-	rejectedSegs, rejectedReps int
+	rejectedSegs, rejectedReps int32
 	rejectedGen                uint64
+}
+
+// segs returns how many cached segments pp covers.
+func (pp *programPlacement) segs() int { return len(pp.cells) / int(pp.stride) }
+
+// has reports whether pp covers segment idx.
+func (pp *programPlacement) has(idx int) bool {
+	return idx >= 0 && idx*int(pp.stride) < len(pp.cells)
+}
+
+// segment returns the cells of segment idx (in range): the copy count,
+// then room for the copies.
+func (pp *programPlacement) segment(idx int) []int32 {
+	base := idx * int(pp.stride)
+	return pp.cells[base : base+int(pp.stride)]
+}
+
+// copies returns the peers holding segment idx (in range).
+func (pp *programPlacement) copies(idx int) []int32 {
+	c := pp.segment(idx)
+	return c[1 : 1+c[0]]
+}
+
+// restride lays pp's cells out again at the given stride, which holds
+// every segment's copies.
+func (pp *programPlacement) restride(stride int) {
+	cells := make([]int32, pp.segs()*stride)
+	for idx := range pp.segs() {
+		c := pp.segment(idx)
+		copy(cells[idx*stride:], c[:1+c[0]])
+	}
+	pp.cells, pp.stride = cells, int32(stride)
+}
+
+// fullStride is the cells per segment of a placement with the given
+// replica count: the count, then at most one copy per peer.
+func (is *IndexServer) fullStride(replicas int) int {
+	return 1 + min(replicas, len(is.nb.Peers()))
+}
+
+// newPlacement allocates an unfilled placement of segs segments with up
+// to replicas copies each.
+func (is *IndexServer) newPlacement(segs, replicas int) programPlacement {
+	stride := is.fullStride(replicas)
+	return programPlacement{
+		cells:    make([]int32, segs*stride),
+		stride:   int32(stride),
+		replicas: int32(replicas),
+	}
+}
+
+// addCopy records one more copy of segment idx of pp on peer pi. The
+// caller picked pi outside the segment's current copies and below the
+// plan's replica count, so a full-stride segment has room for it.
+func (is *IndexServer) addCopy(pp *programPlacement, idx int, pi int32) {
+	if c := pp.segment(idx); int(c[0])+1 == len(c) {
+		pp.restride(is.fullStride(int(pp.replicas)))
+	}
+	c := pp.segment(idx)
+	c[1+c[0]] = pi
+	c[0]++
 }
 
 // NewIndexServer builds the index server for one neighborhood. The cache
@@ -150,13 +218,15 @@ func NewIndexServer(
 		return nil, err
 	}
 	planner, _ := pol.(cache.PlacementPlanner)
+	if pl, ok := pol.(*cache.Pipeline); ok && pl.Planner() == nil {
+		planner = nil // stage absent: every program gets the default plan
+	}
 	return &IndexServer{
-		nb:        nb,
-		cache:     c,
-		placement: make(map[trace.ProgramID]*programPlacement),
-		lengths:   lengths,
-		opts:      opts,
-		planner:   planner,
+		nb:      nb,
+		cache:   c,
+		lengths: lengths,
+		opts:    opts,
+		planner: planner,
 		defaultPlan: cache.Plan{
 			PrefixSegments: opts.PrefixSegments,
 			Replicas:       opts.Replicas,
@@ -234,36 +304,43 @@ func (is *IndexServer) admissionSize(p trace.ProgramID, plan cache.Plan) units.B
 // untouched — a failed upgrade never costs a hot program its cached
 // prefix.
 func (is *IndexServer) OnSessionStart(p trace.ProgramID, now time.Duration) cache.AccessResult {
+	res, _ := is.onSessionStart(p, now)
+	return res
+}
+
+// onSessionStart is OnSessionStart also returning p's program-table key
+// after the access (cache.NoKey when p holds no live state), which a
+// session memoizes for its segment requests.
+func (is *IndexServer) onSessionStart(p trace.ProgramID, now time.Duration) (cache.AccessResult, cache.Key) {
 	plan := is.planFor(p, now)
 	planSegs := 0
 	upgrade := false
 	var rollbackSize units.ByteSize
-	if pp, ok := plannedPlacement(is, p); ok {
+	if pp := plannedPlacement(is, p); pp != nil {
 		planSegs = is.cachedSegments(p, plan)
-		deeper := planSegs > len(pp.slots) || plan.Replicas > pp.replicas
-		retried := planSegs == pp.rejectedSegs && plan.Replicas == pp.rejectedReps &&
+		deeper := planSegs > pp.segs() || plan.Replicas > int(pp.replicas)
+		retried := planSegs == int(pp.rejectedSegs) && plan.Replicas == int(pp.rejectedReps) &&
 			pp.rejectedGen == is.generation
 		if deeper && !retried {
 			rollbackSize, _ = is.cache.ChargedSize(p)
-			is.cache.Evict(p)
+			is.cache.Evict(p) // the placement's pin keeps p's key
 			upgrade = true
 		}
 	}
-	res := is.cache.Access(p, is.admissionSize(p, plan), now)
+	res, k := is.cache.AccessKey(p, is.admissionSize(p, plan), now)
 	for _, victim := range res.Evicted {
-		is.releasePlacement(victim)
+		is.releasePlacement(is.cache.Key(victim))
 	}
 	switch {
 	case res.Admitted:
 		is.generation++
 		if upgrade {
-			is.releasePlacement(p) // the deeper plan supersedes the old copies
+			is.releasePlacement(k) // the deeper plan supersedes the old copies
 		}
-		pp := &programPlacement{
-			slots:    make([][]int32, is.cachedSegments(p, plan)),
-			replicas: plan.Replicas,
-		}
-		is.placement[p] = pp
+		is.placement = cache.GrowKeyed(is.placement, k)
+		pp := &is.placement[k]
+		*pp = is.newPlacement(is.cachedSegments(p, plan), plan.Replicas)
+		is.cache.Pin(k)
 		if is.opts.Fill == FillImmediate {
 			is.placeAll(p, pp)
 		}
@@ -274,47 +351,68 @@ func (is *IndexServer) OnSessionStart(p trace.ProgramID, now time.Duration) cach
 		// memoize the loss so the same footprint is not retried until
 		// the cache contents change.
 		is.cache.Restore(p, rollbackSize, now)
-		pp := is.placement[p]
-		pp.rejectedSegs, pp.rejectedReps, pp.rejectedGen = planSegs, plan.Replicas, is.generation
+		pp := &is.placement[k]
+		pp.rejectedSegs, pp.rejectedReps, pp.rejectedGen = int32(planSegs), int32(plan.Replicas), is.generation
 	}
-	return res
+	return res, k
+}
+
+// placed returns the placement under key k (cache.NoKey allowed), or
+// nil when k's program is not placed.
+func (is *IndexServer) placed(k cache.Key) *programPlacement {
+	if uint(k) < uint(len(is.placement)) && is.placement[k].replicas != 0 {
+		return &is.placement[k]
+	}
+	return nil
+}
+
+// placementOf returns p's placement, or nil when p is not placed.
+func (is *IndexServer) placementOf(p trace.ProgramID) *programPlacement {
+	return is.placed(is.cache.Key(p))
 }
 
 // plannedPlacement resolves p's placement for the plan-upgrade check.
 // Strategies without a planner stage never upgrade, so the common LFU/
 // LRU/oracle session path skips the placement lookup entirely.
-func plannedPlacement(is *IndexServer, p trace.ProgramID) (*programPlacement, bool) {
+func plannedPlacement(is *IndexServer, p trace.ProgramID) *programPlacement {
 	if is.planner == nil {
-		return nil, false
+		return nil
 	}
-	pp, ok := is.placement[p]
-	return pp, ok
+	return is.placementOf(p)
+}
+
+// sessionKey resolves a session's memoized program-table key: the memo
+// when its generation still validates, else one lookup, which refreshes
+// the memo. It returns cache.NoKey when p holds no live state.
+func (is *IndexServer) sessionKey(p trace.ProgramID, key *cache.Key, gen *uint32) cache.Key {
+	if is.cache.Live(*key, *gen) {
+		return *key
+	}
+	k := is.cache.Key(p)
+	if k != cache.NoKey {
+		*key, *gen = k, is.cache.Generation(k)
+	}
+	return k
 }
 
 // placeAll reserves storage for every cached segment of a newly admitted
 // program, one copy per replica (the FillImmediate model). Segments that
 // find no peer with space stay unplaced and miss until churn frees room.
-// Every slot's copy list is carved from one backing array: admissions
-// run constantly at scale, and per-slot allocations were a measurable
-// share of ingest garbage.
 func (is *IndexServer) placeAll(p trace.ProgramID, pp *programPlacement) {
 	length := is.lengths(p)
 	peers := is.nb.Peers()
-	backing := make([]int32, len(pp.slots)*pp.replicas)
-	for idx := range pp.slots {
-		slot := backing[idx*pp.replicas : idx*pp.replicas : (idx+1)*pp.replicas]
+	for idx := range pp.segs() {
 		size := segment.SizeOf(length, idx)
-		for r := 0; r < pp.replicas; r++ {
-			pi := is.pickFillPeer(size, false, slot)
+		for r := 0; r < int(pp.replicas); r++ {
+			pi := is.pickFillPeer(size, false, pp.copies(idx))
 			if pi < 0 {
 				break
 			}
 			if !peers[pi].Reserve(size) {
 				break
 			}
-			slot = append(slot, pi)
+			is.addCopy(pp, idx, pi)
 		}
-		pp.slots[idx] = slot
 	}
 }
 
@@ -361,15 +459,24 @@ func (o ServeOutcome) IsMiss() bool { return o != ServedByPeer }
 // release when the broadcast ends. With replication, copies are tried in
 // placement order and the first available peer serves.
 func (is *IndexServer) ServeSegment(p trace.ProgramID, idx int) (ServeOutcome, *hfc.SetTopBox) {
-	pp, ok := is.placement[p]
-	if !ok {
+	return is.serveSegment(is.placementOf(p), idx)
+}
+
+// serveSegment is ServeSegment on a resolved placement (nil: not
+// cached).
+func (is *IndexServer) serveSegment(pp *programPlacement, idx int) (ServeOutcome, *hfc.SetTopBox) {
+	if pp == nil {
 		return MissNotCached, nil
 	}
-	if idx < 0 || idx >= len(pp.slots) || len(pp.slots[idx]) == 0 {
+	if !pp.has(idx) {
+		return MissUnplaced, nil
+	}
+	copies := pp.copies(idx)
+	if len(copies) == 0 {
 		return MissUnplaced, nil
 	}
 	peers := is.nb.Peers()
-	for _, pi := range pp.slots[idx] {
+	for _, pi := range copies {
 		peer := peers[pi]
 		if !is.opts.EnforceStreamLimit {
 			peer.ForceOpenStream()
@@ -387,15 +494,28 @@ func (is *IndexServer) ServeSegment(p trace.ProgramID, idx int) (ServeOutcome, *
 // returns the filling peer (holding an open stream the caller must
 // release at broadcast end), or nil when no fill happened.
 func (is *IndexServer) TryFill(p trace.ProgramID, idx int) *hfc.SetTopBox {
-	if is.opts.Fill != FillOnBroadcast || !is.opts.BroadcastFill {
+	if !is.fillsOnBroadcast() {
 		return nil
 	}
-	pp, ok := is.placement[p]
-	if !ok || idx < 0 || idx >= len(pp.slots) || len(pp.slots[idx]) >= pp.replicas {
+	return is.tryFill(p, is.placementOf(p), idx)
+}
+
+// fillsOnBroadcast reports whether complete miss broadcasts may fill.
+func (is *IndexServer) fillsOnBroadcast() bool {
+	return is.opts.Fill == FillOnBroadcast && is.opts.BroadcastFill
+}
+
+// tryFill is TryFill on p's resolved placement (nil: not cached).
+func (is *IndexServer) tryFill(p trace.ProgramID, pp *programPlacement, idx int) *hfc.SetTopBox {
+	if pp == nil || !pp.has(idx) {
+		return nil
+	}
+	copies := pp.copies(idx)
+	if len(copies) >= int(pp.replicas) {
 		return nil
 	}
 	size := segment.SizeOf(is.lengths(p), idx)
-	pi := is.pickFillPeer(size, true, pp.slots[idx])
+	pi := is.pickFillPeer(size, true, copies)
 	if pi < 0 {
 		return nil
 	}
@@ -411,7 +531,7 @@ func (is *IndexServer) TryFill(p trace.ProgramID, idx int) *hfc.SetTopBox {
 	} else {
 		peer.ForceOpenStream()
 	}
-	pp.slots[idx] = append(pp.slots[idx], pi)
+	is.addCopy(pp, idx, pi)
 	return peer
 }
 
@@ -471,18 +591,19 @@ func containsIdx(s []int32, v int32) bool {
 	return false
 }
 
-// releasePlacement frees every placed copy of an evicted program.
-func (is *IndexServer) releasePlacement(p trace.ProgramID) {
-	pp, ok := is.placement[p]
-	if !ok {
+// releasePlacement frees every placed copy of the program under key k
+// (cache.NoKey allowed) and unpins the key.
+func (is *IndexServer) releasePlacement(k cache.Key) {
+	pp := is.placed(k)
+	if pp == nil {
 		return
 	}
-	length := is.lengths(p)
+	length := is.lengths(is.cache.Program(k))
 	peers := is.nb.Peers()
 	freed := false
-	for idx, copies := range pp.slots {
+	for idx := range pp.segs() {
 		size := segment.SizeOf(length, idx)
-		for _, pi := range copies {
+		for _, pi := range pp.copies(idx) {
 			peers[pi].Release(size)
 			freed = freed || size > 0
 		}
@@ -490,18 +611,35 @@ func (is *IndexServer) releasePlacement(p trace.ProgramID) {
 	if freed {
 		is.fillSpaceFreed()
 	}
-	delete(is.placement, p)
+	*pp = programPlacement{}
+	is.cache.Unpin(k)
+}
+
+// placedKeys returns the keys of every placed program, ordered by
+// program: keys are arrival-ordered, so anything that walks placements
+// for results or exported state walks them in program order.
+func (is *IndexServer) placedKeys() []cache.Key {
+	var keys []cache.Key
+	for k := range is.placement {
+		if is.placement[k].replicas != 0 {
+			keys = append(keys, cache.Key(k))
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		return is.cache.Program(keys[i]) < is.cache.Program(keys[j])
+	})
+	return keys
 }
 
 // PlacedSegments returns how many segments of p have at least one copy.
 func (is *IndexServer) PlacedSegments(p trace.ProgramID) int {
-	pp, ok := is.placement[p]
-	if !ok {
+	pp := is.placementOf(p)
+	if pp == nil {
 		return 0
 	}
 	n := 0
-	for _, copies := range pp.slots {
-		if len(copies) > 0 {
+	for idx := range pp.segs() {
+		if len(pp.copies(idx)) > 0 {
 			n++
 		}
 	}

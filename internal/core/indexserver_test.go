@@ -43,6 +43,21 @@ func newIS(t *testing.T, nb *hfc.Neighborhood, fill FillMode) *IndexServer {
 	return is
 }
 
+// mustPlacementSlots returns p's copy lists, one per cached segment,
+// failing the test when p is not placed.
+func mustPlacementSlots(t *testing.T, is *IndexServer, p trace.ProgramID) [][]int32 {
+	t.Helper()
+	pp := is.placementOf(p)
+	if pp == nil {
+		t.Fatalf("program %d is not placed", p)
+	}
+	slots := make([][]int32, pp.segs())
+	for idx := range slots {
+		slots[idx] = pp.copies(idx)
+	}
+	return slots
+}
+
 func TestNewIndexServerErrors(t *testing.T) {
 	nb := buildNeighborhood(t, 4, units.GB)
 	if _, err := NewIndexServer(nil, cache.NewLRU(), fixedLengths(time.Hour), ServerOptions{}); err == nil {
@@ -91,7 +106,7 @@ func TestImmediatePlacementRoundRobin(t *testing.T) {
 	is := newIS(t, nb, FillImmediate)
 	is.OnSessionStart(1, 0)
 	// Two segments land on two distinct peers (striping).
-	slots := is.placement[1].slots
+	slots := mustPlacementSlots(t, is, 1)
 	if len(slots[0]) != 1 || len(slots[1]) != 1 {
 		t.Fatalf("copies per segment = %d/%d, want 1/1", len(slots[0]), len(slots[1]))
 	}
@@ -190,7 +205,7 @@ func TestEvictionReleasesAllPlacedStorage(t *testing.T) {
 	// programs of their placed segment sizes.
 	var want units.ByteSize
 	for _, p := range []trace.ProgramID{2, 3} {
-		for idx, copies := range is.placement[p].slots {
+		for idx, copies := range mustPlacementSlots(t, is, p) {
 			want += segment.SizeOf(10*time.Minute, idx) * units.ByteSize(len(copies))
 		}
 	}
@@ -275,15 +290,15 @@ func TestPlanUpgradeDeepensPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := is.OnSessionStart(1, 0)
-	if !res.Admitted || len(is.placement[1].slots) != 1 {
+	if !res.Admitted || len(mustPlacementSlots(t, is, 1)) != 1 {
 		t.Fatalf("first touch: admitted=%v slots=%d, want shallow 1-segment admission",
-			res.Admitted, len(is.placement[1].slots))
+			res.Admitted, len(mustPlacementSlots(t, is, 1)))
 	}
 	is.OnSessionStart(1, time.Hour)
 	res = is.OnSessionStart(1, 2*time.Hour) // score 2 before this access: upgrade
-	if !res.Admitted || len(is.placement[1].slots) != 2 {
+	if !res.Admitted || len(mustPlacementSlots(t, is, 1)) != 2 {
 		t.Fatalf("upgrade touch: admitted=%v slots=%d, want whole-program re-admission",
-			res.Admitted, len(is.placement[1].slots))
+			res.Admitted, len(mustPlacementSlots(t, is, 1)))
 	}
 	if got := is.PlacedSegments(1); got != 2 {
 		t.Errorf("placed segments after upgrade = %d, want 2", got)

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"cablevod/internal/cache"
 	"cablevod/internal/eventq"
 	"cablevod/internal/hfc"
 	"cablevod/internal/metrics"
@@ -148,6 +149,12 @@ type session struct {
 	// FillImmediate: it streams from the central server while peers are
 	// being seeded.
 	firstFetch bool
+	// key and gen memoize the program's key in the index server's
+	// program table, so segment requests reach the placement without a
+	// lookup; a recycled key (or the zero memo) costs one lookup, which
+	// refreshes the memo.
+	key cache.Key
+	gen uint32
 }
 
 // position returns the program playback position at absolute time t.
@@ -177,7 +184,10 @@ func (sh *shard) startSession(rec trace.Record, now time.Duration) {
 	sh.queue.Schedule(rec.End(), eventq.PrioritySessionEnd, sh.newEvent(evSessionEnd, sess, nil))
 
 	// The index server observes the request and updates the cache.
-	res := sh.is.OnSessionStart(rec.Program, now)
+	res, key := sh.is.onSessionStart(rec.Program, now)
+	if key != cache.NoKey {
+		sess.key, sess.gen = key, sh.is.cache.Generation(key)
+	}
 	if res.Admitted {
 		sh.counters.Admissions++
 	}
@@ -254,7 +264,8 @@ func (sh *shard) serveSegment(sess *session, idx int, from, to time.Duration, co
 		return
 	}
 
-	outcome, server := sh.is.ServeSegment(p, idx)
+	pp := sh.is.placed(sh.is.sessionKey(p, &sess.key, &sess.gen))
+	outcome, server := sh.is.serveSegment(pp, idx)
 	switch outcome {
 	case ServedByPeer:
 		sh.counters.Hits++
@@ -275,8 +286,8 @@ func (sh *shard) serveSegment(sess *session, idx int, from, to time.Duration, co
 
 	// A complete miss broadcast can fill the cache at a storing peer.
 	filler := (*hfc.SetTopBox)(nil)
-	if complete {
-		if filler = sh.is.TryFill(p, idx); filler != nil {
+	if complete && sh.is.fillsOnBroadcast() {
+		if filler = sh.is.tryFill(p, pp, idx); filler != nil {
 			sh.counters.Fills++
 		}
 	}

@@ -2,12 +2,13 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"time"
 
 	"cablevod/internal/cache"
 	"cablevod/internal/eventq"
 	"cablevod/internal/metrics"
+	"cablevod/internal/segment"
 	"cablevod/internal/trace"
 	"cablevod/internal/units"
 )
@@ -304,23 +305,18 @@ func (is *IndexServer) exportState() (IndexState, error) {
 		Generation: is.generation,
 		FillCursor: is.fillCursor,
 	}
-	progs := make([]trace.ProgramID, 0, len(is.placement))
-	for p := range is.placement {
-		progs = append(progs, p)
-	}
-	sort.Slice(progs, func(i, j int) bool { return progs[i] < progs[j] })
-	for _, p := range progs {
-		pp := is.placement[p]
+	for _, k := range is.placedKeys() {
+		pp := &is.placement[k]
 		ps := PlacementState{
-			Program:      p,
-			Replicas:     pp.replicas,
-			Slots:        make([][]int, len(pp.slots)),
-			RejectedSegs: pp.rejectedSegs,
-			RejectedReps: pp.rejectedReps,
+			Program:      is.cache.Program(k),
+			Replicas:     int(pp.replicas),
+			Slots:        make([][]int, pp.segs()),
+			RejectedSegs: int(pp.rejectedSegs),
+			RejectedReps: int(pp.rejectedReps),
 			RejectedGen:  pp.rejectedGen,
 		}
-		for idx, copies := range pp.slots {
-			for _, pi := range copies {
+		for idx := range ps.Slots {
+			for _, pi := range pp.copies(idx) {
 				ps.Slots[idx] = append(ps.Slots[idx], int(pi))
 			}
 		}
@@ -517,32 +513,65 @@ func (is *IndexServer) restoreState(st IndexState, now time.Duration, seed bool)
 	}
 
 	peers := is.nb.Peers()
+	onBox := make([]bool, len(peers)) // one segment's copies, while checked
 	for _, ps := range st.Placements {
 		if !is.cache.Contains(ps.Program) {
 			return fmt.Errorf("placement for uncached program %d", ps.Program)
 		}
-		if _, dup := is.placement[ps.Program]; dup {
+		k := is.cache.Key(ps.Program)
+		if is.placed(k) != nil {
 			return fmt.Errorf("duplicate placement for program %d", ps.Program)
 		}
-		if ps.Replicas < 1 {
+		if ps.Replicas < 1 || ps.Replicas > math.MaxInt32 {
 			return fmt.Errorf("program %d placed with %d replicas", ps.Program, ps.Replicas)
 		}
-		pp := &programPlacement{
-			slots:        make([][]int32, len(ps.Slots)),
-			replicas:     ps.Replicas,
-			rejectedSegs: ps.RejectedSegs,
-			rejectedReps: ps.RejectedReps,
-			rejectedGen:  ps.RejectedGen,
+		if ps.RejectedSegs < 0 || ps.RejectedSegs > math.MaxInt32 || ps.RejectedReps < 0 || ps.RejectedReps > math.MaxInt32 {
+			return fmt.Errorf("program %d has a rejected upgrade of %d segments x %d replicas", ps.Program, ps.RejectedSegs, ps.RejectedReps)
 		}
+		// A placement covers at most the program's segments, and a
+		// segment's copies sit on distinct boxes, at most one per replica.
+		if segs := segment.Count(is.lengths(ps.Program)); len(ps.Slots) > segs {
+			return fmt.Errorf("program %d placed with %d segments of %d", ps.Program, len(ps.Slots), segs)
+		}
+		widest := 0
 		for idx, copies := range ps.Slots {
+			if len(copies) >= is.fullStride(ps.Replicas) {
+				return fmt.Errorf("program %d segment %d has %d copies for %d replicas on %d boxes", ps.Program, idx, len(copies), ps.Replicas, len(peers))
+			}
 			for _, pi := range copies {
 				if pi < 0 || pi >= len(peers) {
 					return fmt.Errorf("program %d segment %d placed on box %d of %d", ps.Program, idx, pi, len(peers))
 				}
-				pp.slots[idx] = append(pp.slots[idx], int32(pi))
+				if onBox[pi] {
+					return fmt.Errorf("program %d segment %d placed twice on box %d", ps.Program, idx, pi)
+				}
+				onBox[pi] = true
+			}
+			for _, pi := range copies {
+				onBox[pi] = false
+			}
+			widest = max(widest, len(copies))
+		}
+		// The cells are sized from the copies the row carries, not from
+		// its replica count: a fill past them widens the placement.
+		pp := programPlacement{
+			cells:        make([]int32, len(ps.Slots)*(1+widest)),
+			stride:       int32(1 + widest),
+			replicas:     int32(ps.Replicas),
+			rejectedSegs: int32(ps.RejectedSegs),
+			rejectedReps: int32(ps.RejectedReps),
+			rejectedGen:  ps.RejectedGen,
+		}
+		for idx, copies := range ps.Slots {
+			c := pp.segment(idx)
+			c[0] = int32(len(copies))
+			for i, pi := range copies {
+				c[1+i] = int32(pi)
 			}
 		}
-		is.placement[ps.Program] = pp
+		is.placement = cache.GrowKeyed(is.placement, k)
+		is.placement[k] = pp
+		is.cache.Pin(k)
 	}
 	return nil
 }

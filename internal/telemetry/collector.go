@@ -146,8 +146,8 @@ type LatencySummary struct {
 // scrape time), plus a lossy ring of recent samples. It is strictly
 // observational — attaching it never changes engine results (pinned by
 // TestTelemetryIsObservational) — and hot-path-safe: observations
-// buffer in worker-local memory and publish in flushBatch-sized
-// batches, so the per-event cost is a couple of appends and some
+// tally in worker-local memory and publish in flushBatch-sized
+// batches, so the per-event cost is a table increment and some
 // arithmetic. A live scrape reads the last published state (stale by
 // at most flushBatch events per shard); call Flush on a quiescent
 // engine for an exact view.
@@ -167,31 +167,34 @@ type Collector struct {
 }
 
 // collectorShard is one neighborhood's slice of the collector. The
-// hot path appends observations to worker-local pending buffers —
-// plain slices and integers only the owning shard worker touches, no
+// hot path tallies observations in worker-local pending tables —
+// plain arrays and integers only the owning shard worker touches, no
 // locks, no atomics — and folds them into the published digests and
 // counters under the mutex once per flushBatch events. A scrape locks
 // the mutex and reads the published state, which therefore lags the
 // hot path by at most flushBatch events per shard (exact after
 // Flush). This batching is what keeps the collector inside its
-// Submit-path budget: per event the engine pays a slice append and a
-// few arithmetic ops, never a lock or a cross-core cache-line bounce.
+// Submit-path budget: per event the engine pays a table increment and
+// a few arithmetic ops, never a lock or a cross-core cache-line
+// bounce, and a fold costs one digest point per distinct value.
 type collectorShard struct {
 	// Worker-local pending state: owned by the shard worker, invisible
 	// to scrapes until flushed.
-	pendHit        []float64
-	pendMiss       []float64
 	pendSessions   uint32
 	pendFirstFetch uint32
 
 	// tick phases the recent-ring sampling; worker-local too.
 	tick uint32
 
-	// coaxCap/invCoaxCap memoize the neighborhood's coax capacity as an
-	// inverse (capacity is constant per neighborhood, so this resolves
-	// the utilization divide into a multiply after the first event).
+	// coaxCap/invCoaxCap is the coax capacity pending samples are
+	// priced under, as an inverse so utilization is a multiply. It
+	// changes only on a disruption, which flushes the pending samples
+	// first.
 	coaxCap    units.BitRate
 	invCoaxCap float64
+
+	pendHit  loadTally
+	pendMiss loadTally
 
 	// mu guards everything below: the published digests and counters a
 	// scrape reads.
@@ -211,6 +214,62 @@ type collectorShard struct {
 // fold into the published digests. It bounds scrape staleness and
 // amortizes synchronization ~three orders of magnitude.
 const flushBatch = 1024
+
+// loadTally counts a shard's pending samples by the loads that price
+// them — coax load, plus server load for misses — in a small
+// open-addressing table (a zero count marks a free slot). Broadcasts
+// come in whole streams and the server reading changes once an hour,
+// so a flush batch holds a few dozen distinct load pairs: the hot path
+// pays one increment per sample, and a flush prices and digests each
+// distinct pair once, as a weighted point.
+type loadTally struct {
+	n     int    // distinct load pairs held
+	total uint64 // samples held
+	slots [tallySlots]struct {
+		coax, server units.BitRate
+		count        uint64
+	}
+}
+
+// tallySlots sizes a tally; a shard flushes once either tally holds
+// tallySlots/2 distinct load pairs, so probes stay short.
+const (
+	tallyBits  = 7
+	tallySlots = 1 << tallyBits
+)
+
+// add counts one sample at the given loads and reports whether the
+// tally is full.
+func (t *loadTally) add(coax, server units.BitRate) bool {
+	const fib = 0x9E3779B97F4A7C15 // Fibonacci hashing multiplier
+	i := (uint64(coax)*fib ^ uint64(server)) * fib >> (64 - tallyBits)
+	for t.slots[i].count != 0 && (t.slots[i].coax != coax || t.slots[i].server != server) {
+		i = (i + 1) % tallySlots
+	}
+	if t.slots[i].count == 0 {
+		t.slots[i].coax, t.slots[i].server = coax, server
+		t.n++
+	}
+	t.slots[i].count++
+	t.total++
+	return t.n >= tallySlots/2
+}
+
+// drain folds the tally into d, one weighted point per distinct load
+// pair priced by price, in slot order (deterministic for a given
+// sample sequence), and empties it.
+func (t *loadTally) drain(d *TDigest, price func(coax, server units.BitRate) float64) {
+	if t.n == 0 {
+		return
+	}
+	for i := range t.slots {
+		if sl := &t.slots[i]; sl.count != 0 {
+			d.AddN(price(sl.coax, sl.server), sl.count)
+			sl.count = 0
+		}
+	}
+	t.n, t.total = 0, 0
+}
 
 // RecentRingSize bounds the recent-sample series the collector keeps.
 const RecentRingSize = 1024
@@ -257,16 +316,15 @@ func (c *Collector) ObserveSession(nb int, p trace.ProgramID, at time.Duration) 
 	c.shards[nb].pendSessions++
 }
 
-// ObserveSegment implements core.Collector: price the request and
-// buffer it in the shard's worker-local pending state. Nothing here
-// locks or shares a cache line with another shard; the sampled recent
-// ring is the only cross-shard touch. The pricing is the same M/M/1
-// inflation as LatencyModel.Latency, computed in float64 nanoseconds
-// with predigested inverse capacities so the per-event cost stays
-// inside the Submit-path budget.
+// ObserveSegment implements core.Collector: tally the request by the
+// loads that price it in the shard's worker-local pending state; the
+// flush prices it. Outside a flush nothing here locks or shares a
+// cache line with another shard; the sampled recent ring is the only
+// cross-shard touch.
 func (c *Collector) ObserveSegment(ev core.SegmentEvent) {
 	sh := &c.shards[ev.Neighborhood]
 	if ev.CoaxCapacity != sh.coaxCap {
+		c.flush(sh) // price what is pending under the old capacity
 		sh.coaxCap = ev.CoaxCapacity
 		if ev.CoaxCapacity > 0 {
 			sh.invCoaxCap = 1 / float64(ev.CoaxCapacity)
@@ -274,28 +332,12 @@ func (c *Collector) ObserveSegment(ev core.SegmentEvent) {
 			sh.invCoaxCap = 0
 		}
 	}
-	rho := float64(ev.CoaxBusy) * sh.invCoaxCap
-	if rho > c.maxUtil {
-		rho = c.maxUtil
-	} else if rho < 0 {
-		rho = 0
-	}
-	ns := c.coaxServiceNs / (1 - rho)
 	hit := ev.Hit()
-	if !hit {
-		rhoS := float64(ev.ServerRate) * c.invServerCap
-		if rhoS > c.maxUtil {
-			rhoS = c.maxUtil
-		} else if rhoS < 0 {
-			rhoS = 0
-		}
-		ns += c.serverServiceNs / (1 - rhoS)
-	}
-	seconds := ns * 1e-9
+	var full bool
 	if hit {
-		sh.pendHit = append(sh.pendHit, seconds)
+		full = sh.pendHit.add(ev.CoaxBusy, 0)
 	} else {
-		sh.pendMiss = append(sh.pendMiss, seconds)
+		full = sh.pendMiss.add(ev.CoaxBusy, ev.ServerRate)
 		if ev.FirstFetch {
 			sh.pendFirstFetch++
 		}
@@ -307,34 +349,52 @@ func (c *Collector) ObserveSegment(ev core.SegmentEvent) {
 			At:           ev.At,
 			Neighborhood: ev.Neighborhood,
 			Program:      ev.Program,
-			Seconds:      seconds,
+			Seconds:      c.price(sh, ev.CoaxBusy, ev.ServerRate, !hit),
 			Hit:          hit,
 		})
 	}
 
-	if len(sh.pendHit)+len(sh.pendMiss) >= flushBatch {
-		sh.flush()
+	if full || sh.pendHit.total+sh.pendMiss.total >= flushBatch {
+		c.flush(sh)
 	}
 }
 
-// flush folds the shard's pending observations into its published
-// digests and counters. Called by the owning shard worker when the
-// pending buffers fill, and by Collector.Flush on a quiescent engine.
-func (sh *collectorShard) flush() {
+// price is the M/M/1 inflation of LatencyModel.Latency for a request
+// at the given coax and (for a miss) server loads, in seconds, computed
+// in float64 nanoseconds with predigested inverse capacities.
+func (c *Collector) price(sh *collectorShard, coax, server units.BitRate, miss bool) float64 {
+	rho := float64(coax) * sh.invCoaxCap
+	if rho > c.maxUtil {
+		rho = c.maxUtil
+	} else if rho < 0 {
+		rho = 0
+	}
+	ns := c.coaxServiceNs / (1 - rho)
+	if miss {
+		rhoS := float64(server) * c.invServerCap
+		if rhoS > c.maxUtil {
+			rhoS = c.maxUtil
+		} else if rhoS < 0 {
+			rhoS = 0
+		}
+		ns += c.serverServiceNs / (1 - rhoS)
+	}
+	return ns * 1e-9
+}
+
+// flush prices the shard's pending samples and folds them into its
+// published digests and counters. Called by the owning shard worker
+// when the pending tallies fill or the coax capacity changes, and by
+// Flush on a quiescent engine.
+func (c *Collector) flush(sh *collectorShard) {
 	sh.mu.Lock()
-	for _, v := range sh.pendHit {
-		sh.hit.Add(v)
-	}
-	for _, v := range sh.pendMiss {
-		sh.miss.Add(v)
-	}
-	sh.hits += uint64(len(sh.pendHit))
-	sh.misses += uint64(len(sh.pendMiss))
+	sh.hits += sh.pendHit.total
+	sh.misses += sh.pendMiss.total
+	sh.pendHit.drain(sh.hit, func(coax, server units.BitRate) float64 { return c.price(sh, coax, server, false) })
+	sh.pendMiss.drain(sh.miss, func(coax, server units.BitRate) float64 { return c.price(sh, coax, server, true) })
 	sh.firstFetch += uint64(sh.pendFirstFetch)
 	sh.sessions += uint64(sh.pendSessions)
 	sh.mu.Unlock()
-	sh.pendHit = sh.pendHit[:0]
-	sh.pendMiss = sh.pendMiss[:0]
 	sh.pendFirstFetch = 0
 	sh.pendSessions = 0
 }
@@ -346,7 +406,7 @@ func (sh *collectorShard) flush() {
 // and at shutdown.
 func (c *Collector) Flush() {
 	for i := range c.shards {
-		c.shards[i].flush()
+		c.flush(&c.shards[i])
 	}
 }
 

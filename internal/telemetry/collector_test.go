@@ -1,8 +1,11 @@
 package telemetry
 
 import (
+	"math"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -248,4 +251,169 @@ func TestNewCollectorRejectsBadInputs(t *testing.T) {
 	if _, err := NewCollector(LatencyModel{MaxUtilization: 2}, 4); err == nil {
 		t.Error("invalid model accepted")
 	}
+}
+
+// perSampleCollector tees every event into the collector under test
+// and prices each segment on its own through the model, as the
+// reference for the collector's batched pricing.
+type perSampleCollector struct {
+	col        *Collector
+	hit, miss  []float64
+	capacities map[units.BitRate]bool
+}
+
+func (c *perSampleCollector) ObserveSession(nb int, p trace.ProgramID, at time.Duration) {
+	c.col.ObserveSession(nb, p, at)
+}
+
+func (c *perSampleCollector) ObserveSegment(ev core.SegmentEvent) {
+	m := c.col.Model()
+	// LatencyModel.Latency's pricing, without its truncation to whole
+	// nanoseconds.
+	ns := float64(m.CoaxService) / (1 - utilization(ev.CoaxBusy, ev.CoaxCapacity, m.MaxUtilization))
+	if !ev.Hit() {
+		ns += float64(m.ServerService) / (1 - utilization(ev.ServerRate, m.ServerCapacity, m.MaxUtilization))
+	}
+	if ev.Hit() {
+		c.hit = append(c.hit, ns*1e-9)
+	} else {
+		c.miss = append(c.miss, ns*1e-9)
+	}
+	c.capacities[ev.CoaxCapacity] = true
+	c.col.ObserveSegment(ev)
+}
+
+// checkAgainstPerSample compares the collector's summaries with the
+// reference's samples: exact counts, minima and maxima (to the last
+// bits of float rounding), sums to 1e-9 relative, and p50/p95/p99 no
+// more than rankTol further in rank from the exact quantile than a
+// digest fed each sample on its own.
+func checkAgainstPerSample(t *testing.T, ref *perSampleCollector) {
+	const rankTol = 0.005
+	t.Helper()
+	ref.col.Flush()
+	within := func(got, want, tol float64) bool { return math.Abs(got-want) <= tol*math.Abs(want) }
+	for _, pop := range []struct {
+		kind    Kind
+		name    string
+		samples []float64
+	}{
+		{Hits, "hits", ref.hit},
+		{Misses, "misses", ref.miss},
+		{All, "all", append(append([]float64(nil), ref.hit...), ref.miss...)},
+	} {
+		got := ref.col.Latency(pop.kind)
+		s := slices.Clone(pop.samples)
+		slices.Sort(s)
+		if got.Count != uint64(len(s)) {
+			t.Errorf("%s: count %d, want %d", pop.name, got.Count, len(s))
+			continue
+		}
+		if len(s) == 0 {
+			t.Fatalf("%s: no samples", pop.name)
+		}
+		sum := 0.0
+		for _, v := range s {
+			sum += v
+		}
+		if !within(got.MinSeconds, s[0], 1e-12) || !within(got.MaxSec, s[len(s)-1], 1e-12) {
+			t.Errorf("%s: min/max %g/%g, want %g/%g", pop.name, got.MinSeconds, got.MaxSec, s[0], s[len(s)-1])
+		}
+		if !within(got.SumSeconds, sum, 1e-9) {
+			t.Errorf("%s: sum %.12g, want %.12g", pop.name, got.SumSeconds, sum)
+		}
+		// The digest is lossy however it is fed, more so on a
+		// distribution of a few discrete prices, so the quantiles are
+		// judged in rank space against a digest fed every sample on
+		// its own.
+		unit := NewTDigest(DefaultCompression)
+		for _, v := range pop.samples {
+			unit.Add(v)
+		}
+		for _, q := range []struct {
+			q   float64
+			got float64
+		}{{0.50, got.P50}, {0.95, got.P95}, {0.99, got.P99}} {
+			if d, ud := rankDistance(s, q.got, q.q), rankDistance(s, unit.Quantile(q.q), q.q); d > ud+rankTol {
+				t.Errorf("%s: p%g = %g sits %.4f from its rank, a per-sample digest's %g sits %.4f (tolerance %g)",
+					pop.name, 100*q.q, q.got, d, unit.Quantile(q.q), ud, rankTol)
+			}
+		}
+	}
+}
+
+// TestCollectorMatchesPerSamplePricing: the collector tallies pending
+// samples by load pair and prices each distinct pair once at flush. On
+// an engine run whose coax capacity changes twice, and on a synthetic
+// stream with far more distinct loads than a tally holds, that must
+// agree with pricing every sample on its own.
+func TestCollectorMatchesPerSamplePricing(t *testing.T) {
+	t.Run("engine with coax disruptions", func(t *testing.T) {
+		tr := collectorTestTrace(t, 1)
+		sys, err := core.NewSystem(collectorTestConfig(1), core.WorkloadFromTrace(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.ScheduleDisruptions([]core.Disruption{
+			{At: 30 * time.Hour, Kind: core.DisruptCoaxCapacity, Neighborhood: -1, CoaxCapacity: 150 * units.Mbps},
+			{At: 54 * time.Hour, Kind: core.DisruptCoaxCapacity, Neighborhood: -1, CoaxCapacity: hfc.DefaultCoaxCapacity},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		col, err := NewCollector(LatencyModel{}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &perSampleCollector{col: col, capacities: map[units.BitRate]bool{}}
+		sys.SetCollector(ref)
+		if err := sys.SubmitBatch(tr.Records); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(ref.capacities) < 2 {
+			t.Fatalf("events saw coax capacities %v; the disruptions did not take", ref.capacities)
+		}
+		checkAgainstPerSample(t, ref)
+	})
+	t.Run("synthetic loads", func(t *testing.T) {
+		col, err := NewCollector(LatencyModel{}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &perSampleCollector{col: col, capacities: map[units.BitRate]bool{}}
+		rng := rand.New(rand.NewPCG(1, 2))
+		capacity := hfc.DefaultCoaxCapacity
+		for i := range 200000 {
+			if i%5000 == 0 {
+				capacity = units.BitRate(100+rng.IntN(4)*300) * units.Mbps
+			}
+			ev := core.SegmentEvent{
+				Neighborhood: rng.IntN(2),
+				CoaxBusy:     units.BitRate(rng.IntN(400)) * 2 * units.Mbps,
+				CoaxCapacity: capacity,
+				ServerRate:   units.BitRate(rng.IntN(50)) * 10 * units.Mbps,
+				Outcome:      core.ServedByPeer,
+			}
+			if rng.IntN(3) == 0 {
+				ev.Outcome = core.MissNotCached
+			}
+			ref.ObserveSegment(ev)
+		}
+		checkAgainstPerSample(t, ref)
+	})
+}
+
+// rankDistance returns how far, in rank, the estimate v of quantile q
+// sits from q over the sorted samples s: zero when q falls within the
+// span of ranks that v's equal samples cover.
+func rankDistance(s []float64, v, q float64) float64 {
+	below, _ := slices.BinarySearch(s, v)
+	atOrBelow := below
+	for atOrBelow < len(s) && s[atOrBelow] == v {
+		atOrBelow++
+	}
+	lo, hi := float64(below)/float64(len(s)), float64(atOrBelow)/float64(len(s))
+	return max(lo-q, q-hi, 0)
 }

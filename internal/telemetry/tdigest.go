@@ -3,7 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // TDigest is a mergeable quantile sketch (Dunning's merging t-digest
@@ -29,7 +29,7 @@ type TDigest struct {
 	weights []float64
 
 	// Unprocessed points, compressed in batches.
-	buf []float64
+	buf []weightedPoint
 
 	// Compression scratch, reused across compress calls so the steady
 	// state allocates nothing on the hot path.
@@ -59,14 +59,27 @@ func NewTDigest(compression float64) *TDigest {
 	}
 }
 
+// weightedPoint is a buffered observation value with its multiplicity.
+type weightedPoint struct{ mean, weight float64 }
+
 // Add records one observation. NaN and infinite values are rejected
 // with a panic: they would poison every quantile silently.
-func (t *TDigest) Add(x float64) {
+func (t *TDigest) Add(x float64) { t.AddN(x, 1) }
+
+// AddN records n observations of the same value x as one weighted
+// point (n = 0 records nothing). Folding a tally of repeated values
+// costs one buffered point per distinct value instead of one per
+// observation.
+func (t *TDigest) AddN(x float64, n uint64) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		panic(fmt.Sprintf("telemetry: non-finite t-digest observation %v", x))
 	}
-	t.count++
-	t.sum += x
+	if n == 0 {
+		return
+	}
+	w := float64(n)
+	t.count += n
+	t.sum += x * w
 	if x < t.min {
 		t.min = x
 	}
@@ -74,9 +87,9 @@ func (t *TDigest) Add(x float64) {
 		t.max = x
 	}
 	if t.buf == nil {
-		t.buf = make([]float64, 0, int(8*t.compression))
+		t.buf = make([]weightedPoint, 0, int(8*t.compression))
 	}
-	t.buf = append(t.buf, x)
+	t.buf = append(t.buf, weightedPoint{mean: x, weight: w})
 	if len(t.buf) >= int(8*t.compression) {
 		t.compress()
 	}
@@ -134,7 +147,23 @@ func (t *TDigest) compress() {
 	if len(t.buf) == 0 {
 		return
 	}
-	sort.Float64s(t.buf)
+	// Equal values order by weight, so the merge input is a total
+	// order whatever the insertion order within a batch (values are
+	// finite, so plain comparisons order them).
+	slices.SortFunc(t.buf, func(a, b weightedPoint) int {
+		switch {
+		case a.mean != b.mean:
+			if a.mean < b.mean {
+				return -1
+			}
+			return 1
+		case a.weight < b.weight:
+			return -1
+		case a.weight > b.weight:
+			return 1
+		}
+		return 0
+	})
 	n := len(t.means) + len(t.buf)
 	if cap(t.scratchM) < n {
 		// Headroom beyond n: the centroid count creeps up between
@@ -147,13 +176,13 @@ func (t *TDigest) compress() {
 	// Merge the two sorted sequences: processed centroids and buffer.
 	i, j := 0, 0
 	for i < len(t.means) || j < len(t.buf) {
-		if j >= len(t.buf) || (i < len(t.means) && t.means[i] <= t.buf[j]) {
+		if j >= len(t.buf) || (i < len(t.means) && t.means[i] <= t.buf[j].mean) {
 			sm = append(sm, t.means[i])
 			sw = append(sw, t.weights[i])
 			i++
 		} else {
-			sm = append(sm, t.buf[j])
-			sw = append(sw, 1)
+			sm = append(sm, t.buf[j].mean)
+			sw = append(sw, t.buf[j].weight)
 			j++
 		}
 	}

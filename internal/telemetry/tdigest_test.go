@@ -286,3 +286,44 @@ func TestTDigestMonotone(t *testing.T) {
 		})
 	}
 }
+
+// TestTDigestAddN: a weighted point records its multiplicity. Count,
+// sum and extremes match adding each observation one by one; quantiles
+// of a stream folded as (value, count) tallies track the unit-point
+// digest of the same stream within the sketch's error.
+func TestTDigestAddN(t *testing.T) {
+	weighted, unit := NewTDigest(0), NewTDigest(0)
+	weighted.AddN(7, 0) // records nothing
+	rng := rand.New(rand.NewSource(3))
+	for batch := 0; batch < 200; batch++ {
+		// A batch of 500 samples over a few dozen discrete latencies,
+		// folded as a tally the way the collector folds a flush.
+		tally := map[float64]uint64{}
+		for i := 0; i < 500; i++ {
+			x := 0.005 / (1 - float64(rng.Intn(40))/50)
+			unit.Add(x)
+			tally[x]++
+		}
+		xs := make([]float64, 0, len(tally))
+		for x := range tally {
+			xs = append(xs, x)
+		}
+		sort.Float64s(xs)
+		for _, x := range xs {
+			weighted.AddN(x, tally[x])
+		}
+	}
+	if weighted.Count() != unit.Count() || weighted.Quantile(0) != unit.Quantile(0) || weighted.Quantile(1) != unit.Quantile(1) {
+		t.Errorf("weighted count/min/max %d/%g/%g, unit %d/%g/%g",
+			weighted.Count(), weighted.Quantile(0), weighted.Quantile(1), unit.Count(), unit.Quantile(0), unit.Quantile(1))
+	}
+	if rel := math.Abs(weighted.Sum()/unit.Sum() - 1); rel > 1e-9 {
+		t.Errorf("weighted sum %g, unit sum %g", weighted.Sum(), unit.Sum())
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		w, u := weighted.Quantile(q), unit.Quantile(q)
+		if rel := math.Abs(w/u - 1); rel > 0.02 {
+			t.Errorf("q%.2f: weighted %g, unit %g (%.1f%% apart)", q, w, u, 100*rel)
+		}
+	}
+}
