@@ -257,7 +257,7 @@ func BenchmarkEventQueue(b *testing.B) {
 	q := eventq.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.ScheduleAfter(time.Duration(i%1000)*time.Millisecond, eventq.PrioritySegment,
+		q.Schedule(q.Now()+time.Duration(i%1000)*time.Millisecond, eventq.PrioritySegment,
 			eventq.Func(func(time.Duration) {}))
 		if i%1000 == 999 {
 			q.Run()

@@ -2,7 +2,6 @@ package adversity
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"text/tabwriter"
@@ -239,9 +238,4 @@ func (r *ForkReport) BestArm() *ForkArm {
 		}
 	}
 	return &r.Arms[best]
-}
-
-// SortBySavings reorders arms best-first (stable).
-func (r *ForkReport) SortBySavings() {
-	sort.SliceStable(r.Arms, func(i, j int) bool { return r.Arms[i].Savings > r.Arms[j].Savings })
 }

@@ -151,12 +151,6 @@ func (s *System) ScheduleDisruptions(ds []Disruption) error {
 	return nil
 }
 
-// PendingDisruptions returns the not-yet-applied disruption schedule in
-// application order.
-func (s *System) PendingDisruptions() []Disruption {
-	return append([]Disruption(nil), s.disruptions...)
-}
-
 // disruptionDue reports whether a pending disruption must apply before a
 // record at time next is processed.
 func (s *System) disruptionDue(next time.Duration) bool {

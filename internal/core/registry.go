@@ -164,13 +164,6 @@ func LookupStrategyFactory(name string) (StrategyFactory, bool) {
 	return e.factory, ok
 }
 
-// LookupStrategyTraits resolves a registered strategy's concurrency
-// traits.
-func LookupStrategyTraits(name string) (StrategyTraits, bool) {
-	e, ok := lookupStrategy(name)
-	return e.traits, ok
-}
-
 // RegisteredStrategies returns every registered strategy name, sorted.
 func RegisteredStrategies() []string {
 	registryMu.RLock()

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 )
 
 // snapshotFormat identifies snapshot files.
@@ -139,30 +138,4 @@ func LoadStateFile(path string) (*SystemState, error) {
 		return nil, fmt.Errorf("core: load snapshot %s: %w", path, err)
 	}
 	return st, nil
-}
-
-// PeekStateHeader reads only a snapshot file's header line — enough for
-// status displays without decoding the full state.
-func PeekStateHeader(path string) (strategy string, at time.Duration, submitted int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", 0, 0, err
-	}
-	defer f.Close()
-	line, err := bufio.NewReader(f).ReadBytes('\n')
-	if err != nil {
-		return "", 0, 0, fmt.Errorf("core: read snapshot header: %w", err)
-	}
-	var hdr snapshotHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		return "", 0, 0, fmt.Errorf("core: not a snapshot file: %w", err)
-	}
-	if hdr.Format != snapshotFormat {
-		return "", 0, 0, fmt.Errorf("core: not a snapshot file (format %q)", hdr.Format)
-	}
-	d, err := time.ParseDuration(hdr.At)
-	if err != nil {
-		return "", 0, 0, fmt.Errorf("core: bad snapshot time %q: %w", hdr.At, err)
-	}
-	return hdr.Strategy, d, hdr.Submitted, nil
 }

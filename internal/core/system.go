@@ -298,6 +298,12 @@ func (s *System) route(rec trace.Record, lastStart time.Duration) (*shard, error
 	if err := rec.Validate(); err != nil {
 		return nil, err
 	}
+	// Every event a session schedules falls at or before its end, so a
+	// session ending before the event queue's limit is safe to play.
+	if rec.Duration >= eventq.TimeLimit-rec.Start {
+		return nil, fmt.Errorf("core: record ends at or past the event-queue time limit %v (start %v, duration %v)",
+			eventq.TimeLimit, rec.Start, rec.Duration)
+	}
 	if rec.Start < lastStart {
 		return nil, fmt.Errorf("core: record out of order: start %v before %v", rec.Start, lastStart)
 	}

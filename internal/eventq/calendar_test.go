@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -16,11 +17,10 @@ type refQueue struct {
 }
 
 type refItem struct {
-	at        time.Duration
-	prio      Priority
-	seq       uint64
-	id        int
-	cancelled bool
+	at   time.Duration
+	prio Priority
+	seq  uint64
+	id   int
 }
 
 func (r *refQueue) schedule(at time.Duration, prio Priority, id int) *refItem {
@@ -33,9 +33,6 @@ func (r *refQueue) schedule(at time.Duration, prio Priority, id int) *refItem {
 func (r *refQueue) min() *refItem {
 	var best *refItem
 	for _, it := range r.items {
-		if it.cancelled {
-			continue
-		}
 		if best == nil ||
 			it.at < best.at ||
 			(it.at == best.at && it.prio < best.prio) ||
@@ -76,7 +73,7 @@ func (r *refQueue) runBefore(at time.Duration, prio Priority) []int {
 
 // TestCalendarMatchesReference drives the calendar queue and the
 // reference list through long randomized schedules — deliberately
-// including (at, prio) ties, zero delays, cancellations, and horizons
+// including (at, prio) ties, zero delays, every priority, and horizons
 // spanning the current minute, later minutes, the hour ring, and the
 // far spillover — asserting identical execution order throughout.
 func TestCalendarMatchesReference(t *testing.T) {
@@ -93,7 +90,6 @@ func TestCalendarMatchesReference(t *testing.T) {
 		ref := &refQueue{}
 		var got []int
 		nextID := 0
-		var handles []Handle
 		var refItems []*refItem
 
 		schedule := func() {
@@ -107,10 +103,10 @@ func TestCalendarMatchesReference(t *testing.T) {
 					at = prev
 				}
 			}
-			prio := Priority(rng.Intn(4) + 1)
+			prio := Priority(rng.Intn(8))
 			id := nextID
 			nextID++
-			handles = append(handles, q.Schedule(at, prio, Func(func(time.Duration) { got = append(got, id) })))
+			q.Schedule(at, prio, Func(func(time.Duration) { got = append(got, id) }))
 			refItems = append(refItems, ref.schedule(at, prio, id))
 		}
 
@@ -118,23 +114,11 @@ func TestCalendarMatchesReference(t *testing.T) {
 			for i, n := 0, rng.Intn(40); i < n; i++ {
 				schedule()
 			}
-			// Cancel a few outstanding events, same picks on both sides.
-			for i, n := 0, rng.Intn(4); i < n; i++ {
-				k := rng.Intn(len(handles))
-				q.Cancel(handles[k])
-				refItems[k].cancelled = true
-			}
 			// Drain a random span the way the engine does per record.
 			at := q.Now() + time.Duration(rng.Int63n(int64(2*time.Hour)))
-			prio := Priority(rng.Intn(4) + 1)
-			var want []int
-			if rng.Intn(5) == 0 {
-				q.RunUntil(at)
-				want = ref.runBefore(at, maxPriority)
-			} else {
-				q.RunBefore(at, prio)
-				want = ref.runBefore(at, prio)
-			}
+			prio := Priority(rng.Intn(8))
+			q.RunBefore(at, prio)
+			want := ref.runBefore(at, prio)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d round %d: executed %d events, reference %d", seed, round, len(got), len(want))
 			}
@@ -151,7 +135,7 @@ func TestCalendarMatchesReference(t *testing.T) {
 		}
 		// Final full drain must agree too.
 		q.Run()
-		want := ref.runBefore(1<<62, maxPriority)
+		want := ref.runBefore(TimeLimit, 0)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d drain: %d events, reference %d", seed, len(got), len(want))
 		}
@@ -237,40 +221,36 @@ func TestExportRestoreAcrossBuckets(t *testing.T) {
 	}
 }
 
-// TestCancelInEveryBucket cancels events parked in each calendar level
-// and checks none executes, Len stays exact, and the clock still
-// advances through the emptied spans.
-func TestCancelInEveryBucket(t *testing.T) {
-	q := New()
-	var ran []string
-	add := func(name string, at time.Duration) Handle {
-		return q.Schedule(at, PrioritySegment, Func(func(time.Duration) { ran = append(ran, name) }))
+// TestRestoreRejectsUnqueueableRows: snapshot rows come from outside the
+// program, so a row Schedule would panic on is a Restore error instead.
+func TestRestoreRejectsUnqueueableRows(t *testing.T) {
+	noop := Func(func(time.Duration) {})
+	cases := []struct {
+		name string
+		row  PendingEvent
+	}{
+		{"priority -1", PendingEvent{At: time.Hour, Prio: -1, Ev: noop}},
+		{"priority 8", PendingEvent{At: time.Hour, Prio: 8, Ev: noop}},
+		{"at limit", PendingEvent{At: TimeLimit, Prio: 1, Ev: noop}},
+		{"past limit", PendingEvent{At: 1<<63 - 1, Prio: 1, Ev: noop}},
 	}
-	keep := add("keep", 500*time.Hour)
-	_ = keep
-	cancels := []Handle{
-		add("cur", 10*time.Second),
-		add("minute", 30*time.Minute),
-		add("hour", 20*time.Hour),
-		add("far", 300*time.Hour),
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ok := PendingEvent{At: time.Minute, Prio: 7, Ev: noop}
+			_, err := Restore(0, 2, 0, []PendingEvent{ok, tc.row})
+			if err == nil || !strings.Contains(err.Error(), "event 1") || !strings.Contains(err.Error(), "out of range") {
+				t.Fatalf("Restore error = %v, want event 1 out of range", err)
+			}
+		})
 	}
-	if q.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", q.Len())
+	q, err := Restore(0, 2, 0, []PendingEvent{
+		{At: TimeLimit - 1, Prio: 7, Seq: 0, Ev: noop},
+		{At: TimeLimit - 1, Prio: 0, Seq: 1, Ev: noop},
+	})
+	if err != nil {
+		t.Fatalf("Restore of in-range rows: %v", err)
 	}
-	for _, h := range cancels {
-		q.Cancel(h)
-		if !h.Cancelled() {
-			t.Fatal("handle not marked cancelled")
-		}
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Len after cancels = %d, want 1", q.Len())
-	}
-	q.Run()
-	if len(ran) != 1 || ran[0] != "keep" {
-		t.Fatalf("executed %v, want [keep]", ran)
-	}
-	if q.Now() != 500*time.Hour {
-		t.Fatalf("clock = %v, want 500h", q.Now())
+	if got := q.Export(); len(got) != 2 || got[0].Prio != 0 || got[1].Prio != 7 || got[1].At != TimeLimit-1 {
+		t.Fatalf("restored rows export as %+v", got)
 	}
 }

@@ -1,6 +1,6 @@
 // Package eventq implements the discrete-event simulation engine that
 // drives trace playback: a future-event list backed by a two-level
-// calendar queue, a virtual clock, and a run loop with cancellation.
+// calendar queue, a virtual clock, and a run loop.
 //
 // Events at the same timestamp are delivered in (priority, insertion order)
 // so simulations are fully deterministic regardless of map iteration or
@@ -23,6 +23,7 @@ import (
 )
 
 // Priority orders events that share a timestamp. Lower runs first.
+// Priorities range over 0–7.
 type Priority int
 
 // Standard priorities. SessionEnd runs before SessionStart at the same
@@ -35,9 +36,14 @@ const (
 	PrioritySessionStart
 )
 
-// maxPriority sorts after every real priority; RunUntil's deadline is
-// a threshold at this priority so every event at the deadline runs.
-const maxPriority = Priority(1 << 30)
+// TimeLimit is the first instant the queue cannot hold (2^61 ns, about
+// 73 years). An event's ordering key packs its time and priority into
+// one word, time<<3 | priority, so times must stay below TimeLimit and
+// priorities within 0–7.
+const TimeLimit = time.Duration(1) << (64 - prioBits)
+
+// prioBits is the width of the key's priority field.
+const prioBits = 3
 
 // Event is a scheduled simulation action.
 type Event interface {
@@ -51,52 +57,26 @@ type Func func(now time.Duration)
 // Execute calls the wrapped function.
 func (f Func) Execute(now time.Duration) { f(now) }
 
-// Handle identifies a scheduled event so it can be cancelled. Executed
-// items return to the queue's freelist, so a handle also carries the
-// item's generation at schedule time: a stale handle (its event already
-// executed or cancelled, its item possibly reused) is recognized and
-// ignored instead of aliasing an unrelated event.
-type Handle struct {
-	item *item
-	gen  uint64
-}
-
-// Cancelled reports whether the handle's event was cancelled.
-func (h Handle) Cancelled() bool {
-	return h.item != nil && h.item.gen == h.gen && h.item.cancelled
-}
-
-// Item locations within the calendar.
-const (
-	locNone   = uint8(iota) // freelist or draining: not in any bucket
-	locCur                  // the sorted current-minute slice
-	locMinute               // a minute bucket of the current hour
-	locHour                 // an hour-ring bucket
-	locFar                  // the far spillover (≥ ringHours hours out)
-)
-
 type item struct {
-	at   time.Duration
-	prio Priority
-	// key is (at, prio) packed into one word — at<<3 | prio — so the
-	// hottest comparisons (cur-slice ordering, deadline probes) are a
-	// single integer compare. Item priorities fit in 3 bits; probe keys
-	// clamp maxPriority to 7, which preserves its sorts-after-everything
-	// meaning.
-	key       uint64
-	seq       uint64
-	ev        Event
-	cancelled bool
-	// loc/slot/pos locate the item inside the calendar so Cancel can
-	// remove it eagerly (unsorted buckets) or mark it (sorted cur).
-	loc  uint8
-	slot int32
-	pos  int32
-	// gen counts reuses of this item slot, invalidating stale Handles.
-	// It is bumped when a freelist slot is reused, not when released,
-	// so a handle still reports Cancelled() until the slot is reused.
-	gen uint64
+	// key is (at, prio) packed into one word — at<<prioBits | prio — so
+	// the hottest comparisons (cur-slice ordering, drain probes) are a
+	// single integer compare. It is the item's only copy of both.
+	key uint64
+	seq uint64
+	ev  Event
 }
+
+// packKey builds an ordering key from an in-range (at, prio).
+func packKey(at time.Duration, prio Priority) uint64 {
+	return uint64(at)<<prioBits | uint64(prio)
+}
+
+func (it *item) at() time.Duration { return time.Duration(it.key >> prioBits) }
+
+func (it *item) prio() Priority { return Priority(it.key & (1<<prioBits - 1)) }
+
+// minute returns the minute-of-hour the item falls in.
+func (it *item) minute() int { return int(it.at() % time.Hour / time.Minute) }
 
 // Calendar geometry. ringHours is a power of two so the slot modulo
 // compiles to a mask; the ring covers hours cursor+1 .. cursor+63,
@@ -124,32 +104,27 @@ type Queue struct {
 	curMin  int
 
 	// cur is the current minute, sorted by (at, prio, seq) and drained
-	// from head. Cancelled entries are skipped at drain (the one lazy
-	// spot: removal would break sortedness); curLive counts the live
-	// ones so emptiness checks stay O(1).
-	cur     []*item
-	head    int
-	curLive int
+	// from head.
+	cur  []*item
+	head int
 
 	// minutes buckets the current hour's not-yet-current minutes;
-	// hours rings the next ringHours-1 hours; far holds the rest.
-	// All three are unsorted and, thanks to eager cancellation, hold
-	// only live items — which makes their bucket-granular emptiness
-	// and range checks exact.
+	// hours rings the next ringHours-1 hours; far holds the rest. All
+	// three are unsorted, so their bucket-granular emptiness and range
+	// checks answer most probes without looking at an item.
 	minutes   [minutesPerHour][]*item
 	minuteCnt int
 	hours     [ringHours][]*item
 	ringCnt   int
 	far       []*item
-	// farMin is a lower bound on the earliest hour in far (meaningful
-	// only when far is non-empty; Cancel may leave it stale-low, which
-	// costs at most one needless sweep). Every cursor advance sweeps
-	// far items the window now reaches into the ring, preserving the
-	// invariant that far holds only hours >= curHour+ringHours — which
-	// is what lets hasBefore and advanceHour consult the ring first.
+	// farMin is the earliest hour in far (meaningful only when far is
+	// non-empty). Every cursor advance sweeps far items the window now
+	// reaches into the ring, preserving the invariant that far holds
+	// only hours >= curHour+ringHours — which is what lets hasBefore
+	// and advanceHour consult the ring first.
 	farMin int64
 
-	// live counts pending non-cancelled events (Len is O(1)).
+	// live counts pending events (Len is O(1)).
 	live int
 
 	// free recycles item slots: the queue schedules and pops millions
@@ -166,7 +141,7 @@ func New() *Queue {
 // Now returns the current virtual time.
 func (q *Queue) Now() time.Duration { return q.now }
 
-// Len returns the number of pending (non-cancelled) events.
+// Len returns the number of pending events.
 func (q *Queue) Len() int { return q.live }
 
 // Executed returns how many events have been executed so far.
@@ -181,76 +156,56 @@ func less(a, b *item) bool {
 	return a.seq < b.seq
 }
 
-// packKey builds an item or probe ordering key from (at, prio).
-func packKey(at time.Duration, prio Priority) uint64 {
-	p := uint64(prio)
-	if p > 7 {
-		p = 7
-	}
-	return uint64(at)<<3 | p
+// packable reports whether (at, prio) fits an ordering key: a time in
+// [0, TimeLimit) and a priority in 0–7.
+func packable(at time.Duration, prio Priority) bool {
+	return 0 <= at && at < TimeLimit && 0 <= prio && prio < 1<<prioBits
 }
 
-// before reports whether it sorts strictly before a hypothetical event
-// at (at, prio) with an infinite sequence number.
-func (it *item) before(at time.Duration, prio Priority) bool {
-	return it.key < packKey(at, prio)
-}
-
-// Schedule enqueues ev at absolute time at. Scheduling in the past (before
-// the current clock) panics: it is always a simulation bug.
-func (q *Queue) Schedule(at time.Duration, prio Priority, ev Event) Handle {
+// Schedule enqueues ev at absolute time at. A nil event, a time before
+// the current clock or at or past TimeLimit, and a priority outside 0–7
+// all panic: each is a simulation bug.
+func (q *Queue) Schedule(at time.Duration, prio Priority, ev Event) {
 	if ev == nil {
 		panic("eventq: Schedule called with nil event")
 	}
 	if at < q.now {
 		panic(fmt.Sprintf("eventq: scheduling at %v before now %v", at, q.now))
 	}
+	if !packable(at, prio) {
+		panic(fmt.Sprintf("eventq: cannot schedule at %v with priority %d (times below %v, priorities 0–7)", at, prio, TimeLimit))
+	}
 	var it *item
 	if n := len(q.free); n > 0 {
 		it = q.free[n-1]
-		q.free[n-1] = nil
 		q.free = q.free[:n-1]
-		it.gen++
-		it.at, it.prio, it.seq, it.ev, it.cancelled = at, prio, q.seq, ev, false
 	} else {
-		it = &item{at: at, prio: prio, seq: q.seq, ev: ev}
+		it = new(item)
 	}
-	it.key = packKey(at, prio)
+	it.key, it.seq, it.ev = packKey(at, prio), q.seq, ev
 	q.seq++
 	q.live++
 	q.place(it)
-	return Handle{item: it, gen: it.gen}
-}
-
-// ScheduleAfter enqueues ev at now+delay.
-func (q *Queue) ScheduleAfter(delay time.Duration, prio Priority, ev Event) Handle {
-	if delay < 0 {
-		panic(fmt.Sprintf("eventq: negative delay %v", delay))
-	}
-	return q.Schedule(q.now+delay, prio, ev)
 }
 
 // place files an item into the calendar by its hour/minute distance
 // from the cursor.
 func (q *Queue) place(it *item) {
-	h := int64(it.at / time.Hour)
+	h := int64(it.at() / time.Hour)
 	switch {
 	case h == q.curHour:
-		m := int(it.at % time.Hour / time.Minute)
+		m := it.minute()
 		if m <= q.curMin {
 			q.insertCur(it)
 			return
 		}
-		it.loc, it.slot, it.pos = locMinute, int32(m), int32(len(q.minutes[m]))
 		q.minutes[m] = append(q.minutes[m], it)
 		q.minuteCnt++
 	case h-q.curHour < ringHours:
 		s := h % ringHours
-		it.loc, it.slot, it.pos = locHour, int32(s), int32(len(q.hours[s]))
 		q.hours[s] = append(q.hours[s], it)
 		q.ringCnt++
 	default:
-		it.loc, it.pos = locFar, int32(len(q.far))
 		if len(q.far) == 0 || h < q.farMin {
 			q.farMin = h
 		}
@@ -261,7 +216,6 @@ func (q *Queue) place(it *item) {
 // insertCur inserts into the sorted current-minute slice at the item's
 // ordered position (binary search over the undrained tail).
 func (q *Queue) insertCur(it *item) {
-	it.loc = locCur
 	lo, hi := q.head, len(q.cur)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -274,106 +228,44 @@ func (q *Queue) insertCur(it *item) {
 	q.cur = append(q.cur, nil)
 	copy(q.cur[lo+1:], q.cur[lo:])
 	q.cur[lo] = it
-	q.curLive++
 }
 
-// Cancel marks the handle's event as cancelled. Cancelling an already
-// executed or already cancelled event is a no-op (a stale handle's item
-// slot may since have been reused; the generation check catches it).
-func (q *Queue) Cancel(h Handle) {
-	it := h.item
-	if it == nil || it.gen != h.gen || it.cancelled || it.loc == locNone {
-		return
-	}
-	it.cancelled = true
-	q.live--
-	switch it.loc {
-	case locCur:
-		// Removal would break sortedness; the drain skips it.
-		q.curLive--
-	case locMinute:
-		removeFromBucket(&q.minutes[it.slot], it)
-		q.minuteCnt--
-		q.release(it)
-	case locHour:
-		removeFromBucket(&q.hours[it.slot], it)
-		q.ringCnt--
-		q.release(it)
-	case locFar:
-		removeFromBucket(&q.far, it)
-		q.release(it)
-	}
-}
-
-// removeFromBucket swap-removes an item from an unsorted bucket,
-// keeping the moved item's position current.
-func removeFromBucket(b *[]*item, it *item) {
-	s := *b
-	last := len(s) - 1
-	moved := s[last]
-	s[it.pos] = moved
-	moved.pos = it.pos
-	s[last] = nil
-	*b = s[:last]
-}
-
-// release returns an item slot to the freelist. The generation bumps
-// on reuse, not here, so outstanding handles still answer Cancelled.
+// release returns an item slot to the freelist.
 func (q *Queue) release(it *item) {
-	it.loc = locNone
 	it.ev = nil
 	q.free = append(q.free, it)
 }
 
-// next drains the calendar to the next live item, advancing the cursor
-// through minute and hour buckets as they empty. It returns nil only
-// when nothing is pending.
+// next pops the earliest pending item, advancing the cursor through
+// minute and hour buckets as they empty. The queue must not be empty.
 func (q *Queue) next() *item {
-	for {
-		for q.head < len(q.cur) {
-			it := q.cur[q.head]
-			q.cur[q.head] = nil
-			q.head++
-			if it.cancelled {
-				q.release(it)
-				continue
-			}
-			q.curLive--
-			it.loc = locNone
-			return it
-		}
-		q.cur = q.cur[:0]
-		q.head = 0
-		if q.minuteCnt > 0 {
+	for q.head == len(q.cur) {
+		q.cur, q.head = q.cur[:0], 0
+		switch {
+		case q.minuteCnt > 0:
 			m := q.curMin + 1
-			for ; m < minutesPerHour; m++ {
-				if len(q.minutes[m]) > 0 {
-					q.curMin = m
-					q.loadMinute(m)
-					break
-				}
+			for len(q.minutes[m]) == 0 {
+				m++
 			}
-			if m == minutesPerHour {
-				panic("eventq: calendar counters out of sync")
-			}
-			continue
-		}
-		if q.ringCnt > 0 || len(q.far) > 0 {
+			q.curMin = m
+			q.loadMinute(m)
+		case q.ringCnt > 0 || len(q.far) > 0:
 			q.advanceHour()
-			continue
+		default:
+			panic("eventq: next on an empty calendar")
 		}
-		return nil
 	}
+	it := q.cur[q.head]
+	q.cur[q.head] = nil
+	q.head++
+	return it
 }
 
 // loadMinute sorts minute bucket m into the cur slice.
 func (q *Queue) loadMinute(m int) {
 	b := q.minutes[m]
 	q.cur = append(q.cur[:0], b...)
-	for i, it := range b {
-		b[i] = nil
-		it.loc = locCur
-	}
+	clear(b)
 	q.minutes[m] = b[:0]
 	q.minuteCnt -= len(q.cur)
 	slices.SortFunc(q.cur, func(a, b *item) int {
@@ -383,7 +275,6 @@ func (q *Queue) loadMinute(m int) {
 		return 1
 	})
 	q.head = 0
-	q.curLive = len(q.cur)
 }
 
 // advanceHour moves the cursor to the next non-empty hour — from the
@@ -392,23 +283,13 @@ func (q *Queue) loadMinute(m int) {
 // sweeps far items the shifted window now reaches and spills the new
 // current hour into its minute buckets.
 func (q *Queue) advanceHour() {
-	next := int64(-1)
-	for d := int64(1); d < ringHours; d++ {
-		if len(q.hours[(q.curHour+d)%ringHours]) > 0 {
-			next = q.curHour + d
-			break
-		}
-	}
-	if next < 0 {
-		// The ring is empty: jump to the earliest far hour (farMin may
-		// be stale-low after cancellations, so recompute exactly).
-		for _, it := range q.far {
-			if h := int64(it.at / time.Hour); next < 0 || h < next {
-				next = h
+	next := q.farMin
+	if q.ringCnt > 0 {
+		for d := int64(1); d < ringHours; d++ {
+			if len(q.hours[(q.curHour+d)%ringHours]) > 0 {
+				next = q.curHour + d
+				break
 			}
-		}
-		if next < 0 {
-			panic("eventq: calendar counters out of sync")
 		}
 	}
 	q.curHour = next
@@ -419,73 +300,44 @@ func (q *Queue) advanceHour() {
 	q.spillHour(next % ringHours)
 }
 
-// sweepFar pulls far items the cursor's ring window now covers into
-// the hour ring (or straight into minute buckets for the current
-// hour), restoring the far invariant after a cursor advance.
+// sweepFar re-places every far item: those the cursor's ring window now
+// covers move into the hour ring (or, for the current hour, into its
+// minute buckets — curMin is -1, so none lands in cur), the rest stay
+// in far with farMin recomputed, restoring the far invariant after a
+// cursor advance.
 func (q *Queue) sweepFar() {
-	kept := q.far[:0]
-	minKept := int64(-1)
-	for _, it := range q.far {
-		h := int64(it.at / time.Hour)
-		switch {
-		case h == q.curHour:
-			m := int(it.at % time.Hour / time.Minute)
-			it.loc, it.slot, it.pos = locMinute, int32(m), int32(len(q.minutes[m]))
-			q.minutes[m] = append(q.minutes[m], it)
-			q.minuteCnt++
-		case h-q.curHour < ringHours:
-			s := h % ringHours
-			it.loc, it.slot, it.pos = locHour, int32(s), int32(len(q.hours[s]))
-			q.hours[s] = append(q.hours[s], it)
-			q.ringCnt++
-		default:
-			it.pos = int32(len(kept))
-			kept = append(kept, it)
-			if minKept < 0 || h < minKept {
-				minKept = h
-			}
-		}
+	far := q.far
+	q.far = far[:0]
+	for _, it := range far {
+		q.place(it)
 	}
-	for i := len(kept); i < len(q.far); i++ {
-		q.far[i] = nil
-	}
-	q.far = kept
-	q.farMin = minKept
+	clear(far[len(q.far):])
 }
 
 // spillHour distributes an hour-ring bucket into the minute buckets.
 func (q *Queue) spillHour(s int64) {
 	b := q.hours[s]
-	for i, it := range b {
-		b[i] = nil
-		m := int(it.at % time.Hour / time.Minute)
-		it.loc, it.slot, it.pos = locMinute, int32(m), int32(len(q.minutes[m]))
+	for _, it := range b {
+		m := it.minute()
 		q.minutes[m] = append(q.minutes[m], it)
 	}
+	clear(b)
 	q.ringCnt -= len(b)
 	q.minuteCnt += len(b)
 	q.hours[s] = b[:0]
 }
 
-// hasBefore reports whether a live event sorts strictly before a
-// hypothetical event at (at, prio). It never moves the cursor: bucket
-// ranges answer most queries, and only a bucket straddling the
-// threshold is scanned.
+// hasBefore reports whether a pending event sorts strictly before a
+// hypothetical event at (at, prio), at below TimeLimit. It never moves
+// the cursor: bucket ranges answer most queries, and only a bucket
+// straddling the threshold is scanned.
 func (q *Queue) hasBefore(at time.Duration, prio Priority) bool {
 	if q.live == 0 {
 		return false
 	}
-	if q.curLive > 0 {
-		for q.head < len(q.cur) {
-			it := q.cur[q.head]
-			if it.cancelled {
-				q.cur[q.head] = nil
-				q.head++
-				q.release(it)
-				continue
-			}
-			return it.before(at, prio)
-		}
+	key := packKey(at, prio)
+	if q.head < len(q.cur) {
+		return q.cur[q.head].key < key
 	}
 	if q.minuteCnt > 0 {
 		for m := q.curMin + 1; m < minutesPerHour; m++ {
@@ -494,7 +346,7 @@ func (q *Queue) hasBefore(at time.Duration, prio Priority) bool {
 				continue
 			}
 			start := time.Duration(q.curHour)*time.Hour + time.Duration(m)*time.Minute
-			return bucketBefore(b, start, time.Minute, at, prio)
+			return bucketBefore(b, start, time.Minute, at, key)
 		}
 	}
 	if q.ringCnt > 0 {
@@ -504,11 +356,11 @@ func (q *Queue) hasBefore(at time.Duration, prio Priority) bool {
 			if len(b) == 0 {
 				continue
 			}
-			return bucketBefore(b, time.Duration(h)*time.Hour, time.Hour, at, prio)
+			return bucketBefore(b, time.Duration(h)*time.Hour, time.Hour, at, key)
 		}
 	}
 	for _, it := range q.far {
-		if it.before(at, prio) {
+		if it.key < key {
 			return true
 		}
 	}
@@ -517,9 +369,8 @@ func (q *Queue) hasBefore(at time.Duration, prio Priority) bool {
 
 // bucketBefore answers hasBefore for the earliest non-empty bucket:
 // wholly before the threshold, wholly after, or scanned when the
-// threshold falls inside its range. Buckets hold only live items, so
-// the range checks are exact.
-func bucketBefore(b []*item, start, width time.Duration, at time.Duration, prio Priority) bool {
+// threshold falls inside its range.
+func bucketBefore(b []*item, start, width, at time.Duration, key uint64) bool {
 	if start > at {
 		return false
 	}
@@ -527,35 +378,29 @@ func bucketBefore(b []*item, start, width time.Duration, at time.Duration, prio 
 		return true
 	}
 	for _, it := range b {
-		if it.before(at, prio) {
+		if it.key < key {
 			return true
 		}
 	}
 	return false
 }
 
-// Step executes the next pending event, advancing the clock to its
-// timestamp. It reports whether an event was executed.
-func (q *Queue) Step() bool {
-	if q.live == 0 {
-		return false
-	}
+// step executes the next pending event, advancing the clock to its
+// timestamp. The queue must not be empty.
+func (q *Queue) step() {
 	it := q.next()
-	if it == nil {
-		panic("eventq: calendar counters out of sync")
-	}
 	q.live--
-	q.now = it.at
+	q.now = it.at()
 	q.executed++
 	ev := it.ev
 	q.release(it)
 	ev.Execute(q.now)
-	return true
 }
 
 // Run executes events until the queue is empty.
 func (q *Queue) Run() {
-	for q.Step() {
+	for q.live > 0 {
+		q.step()
 	}
 }
 
@@ -564,23 +409,17 @@ func (q *Queue) Run() {
 // timestamps, plus same-timestamp events with a lower priority — then
 // advances the clock to at. It is the streaming engine's pre-ingest
 // drain: before an externally injected event at (at, prio) runs, the
-// queue reaches exactly the state the batch run loop would have.
+// queue reaches exactly the state the batch run loop would have. Every
+// pending event is before a time at or past TimeLimit.
 func (q *Queue) RunBefore(at time.Duration, prio Priority) {
-	for q.hasBefore(at, prio) {
-		q.Step()
+	if at >= TimeLimit {
+		q.Run()
+	} else {
+		for q.hasBefore(at, prio) {
+			q.step()
+		}
 	}
 	if q.now < at {
 		q.now = at
-	}
-}
-
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to the deadline. Events scheduled later remain pending.
-func (q *Queue) RunUntil(deadline time.Duration) {
-	for q.hasBefore(deadline, maxPriority) {
-		q.Step()
-	}
-	if q.now < deadline {
-		q.now = deadline
 	}
 }

@@ -59,30 +59,6 @@ func TestSameTimeSamePriorityFIFO(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	q := New()
-	ran := false
-	h := q.Schedule(time.Second, PriorityControl, Func(func(time.Duration) { ran = true }))
-	q.Cancel(h)
-	if !h.Cancelled() {
-		t.Error("handle not marked cancelled")
-	}
-	q.Run()
-	if ran {
-		t.Error("cancelled event executed")
-	}
-	if q.Executed() != 0 {
-		t.Errorf("Executed() = %d, want 0", q.Executed())
-	}
-}
-
-func TestCancelAfterRunIsNoOp(t *testing.T) {
-	q := New()
-	h := q.Schedule(time.Second, PriorityControl, Func(func(time.Duration) {}))
-	q.Run()
-	q.Cancel(h) // must not panic
-}
-
 func TestScheduleInPastPanics(t *testing.T) {
 	q := New()
 	q.Schedule(time.Minute, PriorityControl, Func(func(time.Duration) {}))
@@ -95,6 +71,41 @@ func TestScheduleInPastPanics(t *testing.T) {
 	q.Schedule(time.Second, PriorityControl, Func(func(time.Duration) {}))
 }
 
+// TestScheduleOutOfRangePanics: a priority the key cannot hold, or a
+// time at or past TimeLimit, is a simulation bug like a past time —
+// it panics and leaves the queue untouched rather than running in
+// the wrong order.
+func TestScheduleOutOfRangePanics(t *testing.T) {
+	cases := []struct {
+		name string
+		at   time.Duration
+		prio Priority
+	}{
+		{"priority -1", time.Second, -1},
+		{"priority 8", time.Second, 8},
+		{"priority 9", time.Second, 9},
+		{"at limit", TimeLimit, PriorityControl},
+		{"past limit", TimeLimit + time.Hour, PriorityControl},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			q := New()
+			q.Schedule(time.Second, 2, Func(func(time.Duration) {}))
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("Schedule(%v, %d) did not panic", tc.at, tc.prio)
+					}
+				}()
+				q.Schedule(tc.at, tc.prio, Func(func(time.Duration) {}))
+			}()
+			if q.Len() != 1 {
+				t.Fatalf("Len = %d after the rejected Schedule, want 1", q.Len())
+			}
+		})
+	}
+}
+
 func TestScheduleNilPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -104,56 +115,6 @@ func TestScheduleNilPanics(t *testing.T) {
 	New().Schedule(0, PriorityControl, nil)
 }
 
-func TestScheduleAfter(t *testing.T) {
-	q := New()
-	var at time.Duration
-	q.Schedule(10*time.Second, PriorityControl, Func(func(now time.Duration) {
-		q.ScheduleAfter(5*time.Second, PriorityControl, Func(func(now time.Duration) { at = now }))
-	}))
-	q.Run()
-	if at != 15*time.Second {
-		t.Errorf("chained event ran at %v, want 15s", at)
-	}
-}
-
-func TestScheduleAfterNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for negative delay")
-		}
-	}()
-	New().ScheduleAfter(-time.Second, PriorityControl, Func(func(time.Duration) {}))
-}
-
-func TestRunUntil(t *testing.T) {
-	q := New()
-	var got []int
-	q.Schedule(1*time.Second, PriorityControl, Func(func(time.Duration) { got = append(got, 1) }))
-	q.Schedule(5*time.Second, PriorityControl, Func(func(time.Duration) { got = append(got, 5) }))
-	q.Schedule(10*time.Second, PriorityControl, Func(func(time.Duration) { got = append(got, 10) }))
-
-	q.RunUntil(5 * time.Second)
-	if len(got) != 2 {
-		t.Fatalf("executed %v, want [1 5]", got)
-	}
-	if q.Now() != 5*time.Second {
-		t.Errorf("clock = %v, want 5s", q.Now())
-	}
-
-	q.RunUntil(7 * time.Second)
-	if q.Now() != 7*time.Second {
-		t.Errorf("clock = %v, want 7s (deadline advance)", q.Now())
-	}
-	if len(got) != 2 {
-		t.Errorf("no event should have run, got %v", got)
-	}
-
-	q.Run()
-	if len(got) != 3 || got[2] != 10 {
-		t.Errorf("final events = %v, want [1 5 10]", got)
-	}
-}
-
 func TestEventsScheduledDuringRun(t *testing.T) {
 	q := New()
 	count := 0
@@ -161,7 +122,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	recur = func(now time.Duration) {
 		count++
 		if count < 100 {
-			q.ScheduleAfter(time.Second, PrioritySegment, Func(recur))
+			q.Schedule(now+time.Second, PrioritySegment, Func(recur))
 		}
 	}
 	q.Schedule(0, PrioritySegment, Func(recur))
@@ -171,19 +132,6 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	}
 	if q.Now() != 99*time.Second {
 		t.Errorf("clock = %v, want 99s", q.Now())
-	}
-}
-
-func TestLenExcludesCancelled(t *testing.T) {
-	q := New()
-	h1 := q.Schedule(time.Second, PriorityControl, Func(func(time.Duration) {}))
-	q.Schedule(2*time.Second, PriorityControl, Func(func(time.Duration) {}))
-	if q.Len() != 2 {
-		t.Fatalf("Len() = %d, want 2", q.Len())
-	}
-	q.Cancel(h1)
-	if q.Len() != 1 {
-		t.Fatalf("Len() after cancel = %d, want 1", q.Len())
 	}
 }
 
@@ -205,7 +153,7 @@ func TestExecutionOrderProperty(t *testing.T) {
 		for i, s := range specs {
 			i := i
 			at := time.Duration(s.Delay) * time.Millisecond
-			prio := Priority(int(s.Prio%4) + 1)
+			prio := Priority(s.Prio % 8)
 			q.Schedule(at, prio, Func(func(now time.Duration) {
 				order = append(order, key{at: now, prio: prio, seq: i})
 			}))
@@ -271,6 +219,27 @@ func TestRunBefore(t *testing.T) {
 	}
 	if got[3] != "start@2" || got[4] != "end@3" {
 		t.Fatalf("drain order %v", got)
+	}
+}
+
+// TestRunBeforePastTimeLimit: every pending event sorts before a time
+// at or past TimeLimit, including events they schedule, and the clock
+// still lands on the requested time.
+func TestRunBeforePastTimeLimit(t *testing.T) {
+	q := New()
+	ran := 0
+	q.Schedule(time.Second, PrioritySessionStart, Func(func(now time.Duration) {
+		ran++
+		q.Schedule(TimeLimit-1, 7, Func(func(time.Duration) { ran++ }))
+	}))
+	q.Schedule(300*time.Hour, PrioritySegment, Func(func(time.Duration) { ran++ }))
+	at := TimeLimit + time.Hour
+	q.RunBefore(at, PriorityControl)
+	if ran != 3 || q.Len() != 0 {
+		t.Fatalf("ran %d events with %d pending, want 3 and 0", ran, q.Len())
+	}
+	if q.Now() != at {
+		t.Fatalf("clock = %v, want %v", q.Now(), at)
 	}
 }
 

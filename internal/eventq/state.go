@@ -17,32 +17,24 @@ type PendingEvent struct {
 	Ev   Event
 }
 
-// Export returns every pending (non-cancelled) event in execution order
-// (time, priority, sequence). Together with State it captures everything
+// Export returns every pending event in execution order (time,
+// priority, sequence). Together with State it captures everything
 // Restore needs to rebuild the queue exactly.
 func (q *Queue) Export() []PendingEvent {
 	out := make([]PendingEvent, 0, q.live)
-	add := func(it *item) {
-		if !it.cancelled {
-			out = append(out, PendingEvent{At: it.at, Prio: it.prio, Seq: it.seq, Ev: it.ev})
+	add := func(b []*item) {
+		for _, it := range b {
+			out = append(out, PendingEvent{At: it.at(), Prio: it.prio(), Seq: it.seq, Ev: it.ev})
 		}
 	}
-	for _, it := range q.cur[q.head:] {
-		add(it)
-	}
+	add(q.cur[q.head:])
 	for m := range q.minutes {
-		for _, it := range q.minutes[m] {
-			add(it)
-		}
+		add(q.minutes[m])
 	}
 	for s := range q.hours {
-		for _, it := range q.hours[s] {
-			add(it)
-		}
+		add(q.hours[s])
 	}
-	for _, it := range q.far {
-		add(it)
-	}
+	add(q.far)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].At != out[j].At {
 			return out[i].At < out[j].At
@@ -65,7 +57,9 @@ func (q *Queue) State() (now time.Duration, nextSeq, executed uint64) {
 // Restore rebuilds a queue from an exported state. Pending events keep
 // their original sequence numbers, so same-instant ordering after a
 // save/restore cycle is identical to the uninterrupted run — the
-// property the engine's snapshot determinism contract rests on.
+// property the engine's snapshot determinism contract rests on. The
+// rows may come from a file, so a row Schedule would panic on is an
+// error here.
 func Restore(now time.Duration, nextSeq, executed uint64, events []PendingEvent) (*Queue, error) {
 	q := &Queue{
 		now:      now,
@@ -84,10 +78,14 @@ func Restore(now time.Duration, nextSeq, executed uint64, events []PendingEvent)
 		if pe.At < now {
 			return nil, fmt.Errorf("eventq: restore: event %d at %v before clock %v", i, pe.At, now)
 		}
+		if !packable(pe.At, pe.Prio) {
+			return nil, fmt.Errorf("eventq: restore: event %d at %v with priority %d is out of range (times below %v, priorities 0–7)",
+				i, pe.At, pe.Prio, TimeLimit)
+		}
 		if pe.Seq >= nextSeq {
 			return nil, fmt.Errorf("eventq: restore: event %d sequence %d not below next %d", i, pe.Seq, nextSeq)
 		}
-		it := &item{at: pe.At, prio: pe.Prio, key: packKey(pe.At, pe.Prio), seq: pe.Seq, ev: pe.Ev}
+		it := &item{key: packKey(pe.At, pe.Prio), seq: pe.Seq, ev: pe.Ev}
 		q.live++
 		q.place(it)
 	}

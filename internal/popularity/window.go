@@ -38,9 +38,6 @@ func NewWindow(horizon time.Duration) *Window {
 	}
 }
 
-// Horizon returns the window length.
-func (w *Window) Horizon() time.Duration { return w.horizon }
-
 // Record notes an access to p at time now. Accesses must be recorded in
 // non-decreasing time order.
 func (w *Window) Record(p trace.ProgramID, now time.Duration) {

@@ -13,133 +13,103 @@ import (
 	"cablevod/internal/units"
 )
 
-// metricDef is one checkpoint-series metric a predicate can reference.
+// metricDef extracts one checkpoint-series metric a predicate can
+// reference at checkpoint index i; ok is false where the metric is
+// undefined (e.g. a windowed ratio over a window with no requests).
 // Windowed metrics read the delta between consecutive checkpoints, so
 // they describe what happened since the previous checkpoint; running
 // metrics read the engine's cumulative aggregates at the instant.
-type metricDef struct {
-	help string
-	// value extracts the metric at checkpoint index i; ok is false
-	// where the metric is undefined (e.g. a windowed ratio over a
-	// window with no requests).
-	value func(ev *evaluator, i int) (v float64, ok bool)
-}
+type metricDef func(ev *evaluator, i int) (v float64, ok bool)
 
+// metricDefs holds every predicate metric; SCENARIOS.md lists them with
+// the descriptions given here.
 var metricDefs = map[string]metricDef{
-	"hit_ratio": {
-		help: "running segment hit ratio since the scenario start",
-		value: func(ev *evaluator, i int) (float64, bool) {
-			return ev.cps[i].Metrics.HitRatio(), true
-		},
+	// running segment hit ratio since the scenario start
+	"hit_ratio": func(ev *evaluator, i int) (float64, bool) {
+		return ev.cps[i].Metrics.HitRatio(), true
 	},
-	"window_hit_ratio": {
-		help: "segment hit ratio over the window since the previous checkpoint",
-		value: func(ev *evaluator, i int) (float64, bool) {
-			cur := ev.cps[i].Metrics.Counters
-			var hits, reqs uint64 = cur.Hits, cur.SegmentRequests
-			if i > 0 {
-				prev := ev.cps[i-1].Metrics.Counters
-				hits -= prev.Hits
-				reqs -= prev.SegmentRequests
+	// segment hit ratio over the window since the previous checkpoint
+	"window_hit_ratio": func(ev *evaluator, i int) (float64, bool) {
+		cur := ev.cps[i].Metrics.Counters
+		var hits, reqs uint64 = cur.Hits, cur.SegmentRequests
+		if i > 0 {
+			prev := ev.cps[i-1].Metrics.Counters
+			hits -= prev.Hits
+			reqs -= prev.SegmentRequests
+		}
+		if reqs == 0 {
+			return 0, false
+		}
+		return float64(hits) / float64(reqs), true
+	},
+	// running transfer savings against the uncached baseline
+	"savings": func(ev *evaluator, i int) (float64, bool) {
+		return ev.cps[i].Metrics.Savings(), true
+	},
+	// central-server send rate over the window since the previous checkpoint (bits/s)
+	"server_bps": func(ev *evaluator, i int) (float64, bool) {
+		return ev.windowedRate(i, func(m core.Metrics) int64 { return m.ServerBits })
+	},
+	// uncached-demand rate over the window since the previous checkpoint (bits/s)
+	"demand_bps": func(ev *evaluator, i int) (float64, bool) {
+		return ev.windowedRate(i, func(m core.Metrics) int64 { return m.DemandBits })
+	},
+	// running average central-server rate since the scenario start (bits/s)
+	"server_avg_bps": func(ev *evaluator, i int) (float64, bool) {
+		return float64(ev.cps[i].Metrics.ServerRate), true
+	},
+	// sessions playing at the checkpoint instant
+	"active_sessions": func(ev *evaluator, i int) (float64, bool) {
+		return float64(ev.cps[i].Metrics.ActiveSessions), true
+	},
+	// cumulative sessions started
+	"sessions": func(ev *evaluator, i int) (float64, bool) {
+		return float64(ev.cps[i].Metrics.Counters.Sessions), true
+	},
+	// pooled cache fill fraction across all neighborhoods
+	"cache_occupancy": func(ev *evaluator, i int) (float64, bool) {
+		m := ev.cps[i].Metrics
+		if m.CacheCapacity == 0 {
+			return 0, false
+		}
+		return float64(m.CacheUsed) / float64(m.CacheCapacity), true
+	},
+	// program copies resident across all pooled caches
+	"cached_programs": func(ev *evaluator, i int) (float64, bool) {
+		return float64(ev.cps[i].Metrics.CachedPrograms), true
+	},
+	// running per-neighborhood average coax load (bits/s)
+	"coax_avg_bps": func(ev *evaluator, i int) (float64, bool) {
+		return float64(ev.cps[i].Metrics.CoaxRate), true
+	},
+	// 95th percentile across neighborhoods of running average coax load (bits/s)
+	"coax_p95_bps": func(ev *evaluator, i int) (float64, bool) {
+		return ev.neighborhoodP95(i, func(n core.NeighborhoodMetrics) float64 {
+			return float64(n.CoaxRate)
+		})
+	},
+	// 95th percentile across neighborhoods of coax load over coax capacity
+	"coax_p95_utilization": func(ev *evaluator, i int) (float64, bool) {
+		if ev.coaxCapacity <= 0 {
+			return 0, false
+		}
+		return ev.neighborhoodP95(i, func(n core.NeighborhoodMetrics) float64 {
+			return float64(n.CoaxRate) / float64(ev.coaxCapacity)
+		})
+	},
+	// worst per-neighborhood running hit ratio
+	"min_neighborhood_hit_ratio": func(ev *evaluator, i int) (float64, bool) {
+		nbs := ev.cps[i].Metrics.PerNeighborhood
+		if len(nbs) == 0 {
+			return 0, false
+		}
+		min := math.Inf(1)
+		for _, n := range nbs {
+			if n.HitRatio < min {
+				min = n.HitRatio
 			}
-			if reqs == 0 {
-				return 0, false
-			}
-			return float64(hits) / float64(reqs), true
-		},
-	},
-	"savings": {
-		help: "running transfer savings against the uncached baseline",
-		value: func(ev *evaluator, i int) (float64, bool) {
-			return ev.cps[i].Metrics.Savings(), true
-		},
-	},
-	"server_bps": {
-		help: "central-server send rate over the window since the previous checkpoint (bits/s)",
-		value: func(ev *evaluator, i int) (float64, bool) {
-			return ev.windowedRate(i, func(m core.Metrics) int64 { return m.ServerBits })
-		},
-	},
-	"demand_bps": {
-		help: "uncached-demand rate over the window since the previous checkpoint (bits/s)",
-		value: func(ev *evaluator, i int) (float64, bool) {
-			return ev.windowedRate(i, func(m core.Metrics) int64 { return m.DemandBits })
-		},
-	},
-	"server_avg_bps": {
-		help: "running average central-server rate since the scenario start (bits/s)",
-		value: func(ev *evaluator, i int) (float64, bool) {
-			return float64(ev.cps[i].Metrics.ServerRate), true
-		},
-	},
-	"active_sessions": {
-		help: "sessions playing at the checkpoint instant",
-		value: func(ev *evaluator, i int) (float64, bool) {
-			return float64(ev.cps[i].Metrics.ActiveSessions), true
-		},
-	},
-	"sessions": {
-		help: "cumulative sessions started",
-		value: func(ev *evaluator, i int) (float64, bool) {
-			return float64(ev.cps[i].Metrics.Counters.Sessions), true
-		},
-	},
-	"cache_occupancy": {
-		help: "pooled cache fill fraction across all neighborhoods",
-		value: func(ev *evaluator, i int) (float64, bool) {
-			m := ev.cps[i].Metrics
-			if m.CacheCapacity == 0 {
-				return 0, false
-			}
-			return float64(m.CacheUsed) / float64(m.CacheCapacity), true
-		},
-	},
-	"cached_programs": {
-		help: "program copies resident across all pooled caches",
-		value: func(ev *evaluator, i int) (float64, bool) {
-			return float64(ev.cps[i].Metrics.CachedPrograms), true
-		},
-	},
-	"coax_avg_bps": {
-		help: "running per-neighborhood average coax load (bits/s)",
-		value: func(ev *evaluator, i int) (float64, bool) {
-			return float64(ev.cps[i].Metrics.CoaxRate), true
-		},
-	},
-	"coax_p95_bps": {
-		help: "95th percentile across neighborhoods of running average coax load (bits/s)",
-		value: func(ev *evaluator, i int) (float64, bool) {
-			return ev.neighborhoodP95(i, func(n core.NeighborhoodMetrics) float64 {
-				return float64(n.CoaxRate)
-			})
-		},
-	},
-	"coax_p95_utilization": {
-		help: "95th percentile across neighborhoods of coax load over coax capacity",
-		value: func(ev *evaluator, i int) (float64, bool) {
-			if ev.coaxCapacity <= 0 {
-				return 0, false
-			}
-			return ev.neighborhoodP95(i, func(n core.NeighborhoodMetrics) float64 {
-				return float64(n.CoaxRate) / float64(ev.coaxCapacity)
-			})
-		},
-	},
-	"min_neighborhood_hit_ratio": {
-		help: "worst per-neighborhood running hit ratio",
-		value: func(ev *evaluator, i int) (float64, bool) {
-			nbs := ev.cps[i].Metrics.PerNeighborhood
-			if len(nbs) == 0 {
-				return 0, false
-			}
-			min := math.Inf(1)
-			for _, n := range nbs {
-				if n.HitRatio < min {
-					min = n.HitRatio
-				}
-			}
-			return min, true
-		},
+		}
+		return min, true
 	},
 }
 
@@ -152,11 +122,6 @@ func MetricNames() string {
 	sort.Strings(names)
 	return strings.Join(names, ", ")
 }
-
-// MetricHelp returns the one-line description of a metric ("" if
-// unknown) — the schema reference in SCENARIOS.md is generated from
-// these.
-func MetricHelp(name string) string { return metricDefs[name].help }
 
 // evaluator evaluates predicates over one run's checkpoint series.
 type evaluator struct {
@@ -283,7 +248,7 @@ func (ev *evaluator) threshold(p Predicate, res *PredicateResult) {
 	extreme, extremeAt := math.NaN(), time.Duration(0)
 	seen := 0
 	for _, i := range idx {
-		v, ok := def.value(ev, i)
+		v, ok := def(ev, i)
 		if !ok {
 			continue
 		}
@@ -322,7 +287,7 @@ func (ev *evaluator) recovery(p Predicate, res *PredicateResult) {
 		if cp.At > ph.From {
 			break
 		}
-		if v, ok := def.value(ev, i); ok {
+		if v, ok := def(ev, i); ok {
 			baseline, baselineAt = v, cp.At
 		}
 	}
@@ -345,7 +310,7 @@ func (ev *evaluator) recovery(p Predicate, res *PredicateResult) {
 		if cp.At < ph.To || cp.At > deadline {
 			continue
 		}
-		v, ok := def.value(ev, i)
+		v, ok := def(ev, i)
 		if !ok {
 			continue
 		}
@@ -419,7 +384,7 @@ func Evaluate(f *File, cps []scenario.Checkpoint, coaxCapacity units.BitRate) ([
 	for i, cp := range cps {
 		tp := TracePoint{Index: i, At: cp.At, Phases: cp.Phases, Values: map[string]float64{}}
 		for _, n := range names {
-			if v, ok := metricDefs[n].value(ev, i); ok {
+			if v, ok := metricDefs[n](ev, i); ok {
 				tp.Values[n] = v
 			}
 		}

@@ -26,8 +26,8 @@ var specNames = []string{"flash-crowd", "premiere", "churn-wave", "weekend-surge
 // skips them and TestAdversitySpecs pins their behaviour instead.
 var adversitySpecNames = []string{"node-outage", "cache-wipe"}
 
-// allSpecNames is the complete checked-in corpus, for grammar-level
-// tests (round trip, goldens).
+// allSpecNames is the complete checked-in corpus, for the golden
+// checkpoint series.
 func allSpecNames() []string {
 	return append(append([]string(nil), specNames...), adversitySpecNames...)
 }

@@ -338,7 +338,7 @@ func splitFlow(s string, num int) ([]string, error) {
 	return parts, nil
 }
 
-var numberPattern = func(s string) bool {
+func numberPattern(s string) bool {
 	if s == "" {
 		return false
 	}

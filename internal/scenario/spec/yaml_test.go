@@ -30,6 +30,23 @@ flow_items:
 nested:
   inner:
     deep: ok
+# Scalars that need quoting to stay strings: a colon, a comment
+# marker, number, bool and null look-alikes, quotes, and dashes.
+colon: "with: colon"
+hash: "hash # inside"
+number_alike: "3.14"
+bool_alike: "true"
+null_alike: "null"
+apostrophe: "it's quoted"
+double_quotes: "she said \"hi\""
+single_quotes: 'she said "hi"'
+bare_dash: "-"
+leading_dash: "- leading dash"
+spaced: a b c
+names:
+  - name: "- leading dash"
+  - name: "with: colon"
+    phase: "3.14"
 `
 	got, err := parseTree([]byte(src))
 	if err != nil {
@@ -55,6 +72,22 @@ nested:
 			[]any{"a", "b"},
 		},
 		"nested": map[string]any{"inner": map[string]any{"deep": "ok"}},
+
+		"colon":         "with: colon",
+		"hash":          "hash # inside",
+		"number_alike":  "3.14",
+		"bool_alike":    "true",
+		"null_alike":    "null",
+		"apostrophe":    "it's quoted",
+		"double_quotes": `she said "hi"`,
+		"single_quotes": `she said "hi"`,
+		"bare_dash":     "-",
+		"leading_dash":  "- leading dash",
+		"spaced":        "a b c",
+		"names": []any{
+			map[string]any{"name": "- leading dash"},
+			map[string]any{"name": "with: colon", "phase": "3.14"},
+		},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tree mismatch:\n got: %#v\nwant: %#v", got, want)
@@ -138,6 +171,17 @@ func TestParseDuration(t *testing.T) {
 	}
 }
 
+// jsonSpec is a spec in the JSON form Parse accepts.
+const jsonSpec = `{
+  "name": "demo",
+  "checkpoint": "12h",
+  "base": {"days": 3},
+  "phases": [
+    {"name": "p", "from": "1d", "to": "2d",
+     "modulators": [{"kind": "premiere", "hotness": 3}]}
+  ]
+}`
+
 // TestParseJSONSpec proves the JSON front door reaches the same File as
 // the YAML one.
 func TestParseJSONSpec(t *testing.T) {
@@ -154,20 +198,11 @@ phases:
       - kind: premiere
         hotness: 3
 `
-	jsonSrc := `{
-  "name": "demo",
-  "checkpoint": "12h",
-  "base": {"days": 3},
-  "phases": [
-    {"name": "p", "from": "1d", "to": "2d",
-     "modulators": [{"kind": "premiere", "hotness": 3}]}
-  ]
-}`
 	fy, err := Parse([]byte(yamlSrc))
 	if err != nil {
 		t.Fatalf("yaml: %v", err)
 	}
-	fj, err := Parse([]byte(jsonSrc))
+	fj, err := Parse([]byte(jsonSpec))
 	if err != nil {
 		t.Fatalf("json: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"cablevod/internal/hfc"
 	"cablevod/internal/synth"
 	"cablevod/internal/telemetry"
+	"cablevod/internal/trace"
 	"cablevod/internal/units"
 )
 
@@ -296,6 +298,54 @@ func TestServeIngest(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("out-of-order batch = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServeSubmitRejectsFarFutureRecord: a record ending past the
+// engine's event-queue time limit is a 400 that leaves the engine as it
+// was, and the daemon still shuts down cleanly (startServer's cleanup
+// fails the test if Run errors).
+func TestServeSubmitRejectsFarFutureRecord(t *testing.T) {
+	tr, err := synth.Generate(synth.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{
+		Addr:     ":0",
+		Engine:   testEngine(),
+		Workload: core.Workload{Users: tr.Users(), Lengths: core.TraceLengths(tr)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := startServer(t, s)
+	post := func(recs []trace.Record) int {
+		t.Helper()
+		body, err := json.Marshal(submitRequest{Records: recs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(base+"/submit", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	batch := tr.Records[:500]
+	if code := post(batch); code != http.StatusOK {
+		t.Fatalf("valid batch = %d, want 200", code)
+	}
+	last := batch[len(batch)-1]
+	far := trace.Record{User: last.User, Program: last.Program, Start: math.MaxInt64 - time.Hour, Duration: 30 * time.Minute}
+	if code := post([]trace.Record{far}); code != http.StatusBadRequest {
+		t.Errorf("far-future record = %d, want 400", code)
+	}
+	var snap snapshotWire
+	getJSON(t, base+"/snapshot", &snap)
+	if snap.Submitted != len(batch) {
+		t.Errorf("snapshot shows %d submitted after the rejected record, want %d", snap.Submitted, len(batch))
 	}
 }
 

@@ -118,20 +118,6 @@ func inflate(service time.Duration, rho float64) time.Duration {
 	return time.Duration(float64(service) / (1 - rho))
 }
 
-// Sample is one recent-request entry in the collector's lossy ring.
-type Sample struct {
-	// At is the virtual serve time.
-	At time.Duration
-	// Neighborhood is the home shard.
-	Neighborhood int
-	// Program is the requested program.
-	Program trace.ProgramID
-	// Seconds is the modelled request latency.
-	Seconds float64
-	// Hit reports a peer-served request.
-	Hit bool
-}
-
 // LatencySummary is a merged quantile view of the collector's digests.
 type LatencySummary struct {
 	Count              uint64
@@ -143,14 +129,13 @@ type LatencySummary struct {
 // Collector taps the engine's Collector seam: it prices every segment
 // request through a LatencyModel and accumulates per-neighborhood
 // counters and t-digests (merged into system-wide percentiles at
-// scrape time), plus a lossy ring of recent samples. It is strictly
-// observational — attaching it never changes engine results (pinned by
-// TestTelemetryIsObservational) — and hot-path-safe: observations
-// tally in worker-local memory and publish in flushBatch-sized
-// batches, so the per-event cost is a table increment and some
-// arithmetic. A live scrape reads the last published state (stale by
-// at most flushBatch events per shard); call Flush on a quiescent
-// engine for an exact view.
+// scrape time). It is strictly observational — attaching it never
+// changes engine results (pinned by TestTelemetryIsObservational) —
+// and hot-path-safe: observations tally in worker-local memory and
+// publish in flushBatch-sized batches, so the per-event cost is a
+// table increment and some arithmetic. A live scrape reads the last
+// published state (stale by at most flushBatch events per shard); call
+// Flush on a quiescent engine for an exact view.
 type Collector struct {
 	model LatencyModel
 
@@ -163,7 +148,6 @@ type Collector struct {
 	maxUtil         float64
 
 	shards []collectorShard
-	recent *Ring[Sample]
 }
 
 // collectorShard is one neighborhood's slice of the collector. The
@@ -182,9 +166,6 @@ type collectorShard struct {
 	// to scrapes until flushed.
 	pendSessions   uint32
 	pendFirstFetch uint32
-
-	// tick phases the recent-ring sampling; worker-local too.
-	tick uint32
 
 	// coaxCap/invCoaxCap is the coax capacity pending samples are
 	// priced under, as an inverse so utilization is a multiply. It
@@ -271,16 +252,6 @@ func (t *loadTally) drain(d *TDigest, price func(coax, server units.BitRate) flo
 	t.n, t.total = 0, 0
 }
 
-// RecentRingSize bounds the recent-sample series the collector keeps.
-const RecentRingSize = 1024
-
-// RecentSampleStride is the recent-ring sampling rate: each shard
-// records every stride-th segment event. The ring is a lossy debugging
-// series, not an accounting structure (the digests and counters see
-// every event); sampling keeps the hot path free of a per-event heap
-// allocation and a globally contended ring-head update.
-const RecentSampleStride = 64
-
 // NewCollector returns a collector for an engine with the given shard
 // count (core.System.Shards()). The zero LatencyModel selects
 // DefaultLatencyModel field by field.
@@ -299,7 +270,6 @@ func NewCollector(model LatencyModel, shards int) (*Collector, error) {
 		invServerCap:    1 / float64(model.ServerCapacity),
 		maxUtil:         model.MaxUtilization,
 		shards:          make([]collectorShard, shards),
-		recent:          NewRing[Sample](RecentRingSize),
 	}
 	for i := range c.shards {
 		c.shards[i].hit = NewTDigest(DefaultCompression)
@@ -319,8 +289,7 @@ func (c *Collector) ObserveSession(nb int, p trace.ProgramID, at time.Duration) 
 // ObserveSegment implements core.Collector: tally the request by the
 // loads that price it in the shard's worker-local pending state; the
 // flush prices it. Outside a flush nothing here locks or shares a
-// cache line with another shard; the sampled recent ring is the only
-// cross-shard touch.
+// cache line with another shard.
 func (c *Collector) ObserveSegment(ev core.SegmentEvent) {
 	sh := &c.shards[ev.Neighborhood]
 	if ev.CoaxCapacity != sh.coaxCap {
@@ -332,9 +301,8 @@ func (c *Collector) ObserveSegment(ev core.SegmentEvent) {
 			sh.invCoaxCap = 0
 		}
 	}
-	hit := ev.Hit()
 	var full bool
-	if hit {
+	if ev.Hit() {
 		full = sh.pendHit.add(ev.CoaxBusy, 0)
 	} else {
 		full = sh.pendMiss.add(ev.CoaxBusy, ev.ServerRate)
@@ -342,18 +310,6 @@ func (c *Collector) ObserveSegment(ev core.SegmentEvent) {
 			sh.pendFirstFetch++
 		}
 	}
-
-	sh.tick++
-	if sh.tick%RecentSampleStride == 0 {
-		c.recent.Append(Sample{
-			At:           ev.At,
-			Neighborhood: ev.Neighborhood,
-			Program:      ev.Program,
-			Seconds:      c.price(sh, ev.CoaxBusy, ev.ServerRate, !hit),
-			Hit:          hit,
-		})
-	}
-
 	if full || sh.pendHit.total+sh.pendMiss.total >= flushBatch {
 		c.flush(sh)
 	}
@@ -483,9 +439,6 @@ func (c *Collector) Segments() uint64 {
 	return n
 }
 
-// Recent returns the lossy recent-sample series, oldest first.
-func (c *Collector) Recent() []Sample { return c.recent.Snapshot() }
-
 // WriteMetrics implements Source: the latency summaries and the
 // collector's own sample accounting.
 func (c *Collector) WriteMetrics(w *Writer) {
@@ -507,7 +460,6 @@ func (c *Collector) WriteMetrics(w *Writer) {
 	}
 	w.Counter("vodsim_collector_sessions_total", "Sessions observed by the telemetry collector.", float64(c.Sessions()))
 	w.Counter("vodsim_collector_samples_total", "Latency samples recorded by the telemetry collector.", float64(c.Segments()))
-	w.Counter("vodsim_collector_ring_dropped_total", "Recent-sample ring entries overwritten before a scrape (lossy by design).", float64(c.recent.Dropped()))
 }
 
 // Collector implements core.Collector.

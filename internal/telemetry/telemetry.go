@@ -1,19 +1,17 @@
 // Package telemetry is the production-observability layer of the
 // serving engine: hot-path-safe metric primitives (lock-free atomic
-// counters and gauges, a mergeable t-digest for latency percentiles,
-// fixed-size lossy ring buffers for recent-event series), a Prometheus
-// text-format registry rendering the engine's live Metrics types, and a
-// Collector that models per-request latency (queueing delay at the
-// central server and on the coax channel, derived from the engine's
-// load meters) and taps the core engine's Collector seam.
+// counters and gauges, a mergeable t-digest for latency percentiles), a
+// Prometheus text-format registry rendering the engine's live Metrics
+// types, and a Collector that models per-request latency (queueing
+// delay at the central server and on the coax channel, derived from the
+// engine's load meters) and taps the core engine's Collector seam.
 //
 // Everything here is strictly observational. The engine never reads
 // telemetry state, so simulation results are bit-identical with the
 // collector attached — TestTelemetryIsObservational pins that — and
 // nothing on the hot path blocks: counters and gauges are single
-// atomic operations, rings overwrite rather than wait (lossy by
-// design), and the per-neighborhood digest mutexes are only ever
-// contended by a scrape, never by another shard worker.
+// atomic operations, and the per-neighborhood digest mutexes are only
+// ever contended by a scrape, never by another shard worker.
 package telemetry
 
 import (

@@ -50,9 +50,6 @@ const (
 	CoaxUpstream = 215 * Mbps
 )
 
-// Bps returns the rate as a float64 number of bits per second.
-func (r BitRate) Bps() float64 { return float64(r) }
-
 // Mbps returns the rate in megabits per second.
 func (r BitRate) Mbps() float64 { return float64(r) / float64(Mbps) }
 

@@ -174,12 +174,6 @@ func MemoryProbe(tier Config, base core.Config) (*MemReport, error) {
 	return rep, nil
 }
 
-// ProjectHeap extrapolates a tier's steady-state heap from the probe's
-// per-100k reading.
-func (r *MemReport) ProjectHeap(tier Config) uint64 {
-	return uint64(r.HeapPer100k * float64(tier.Subscribers) / 100_000)
-}
-
 // String renders the report for terminal output.
 func (r *MemReport) String() string {
 	var b strings.Builder
