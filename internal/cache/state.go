@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
+	"maps"
+	"slices"
 	"time"
 
 	"cablevod/internal/trace"
@@ -209,6 +212,20 @@ func (pl *Pipeline) RestoreState(data []byte) error {
 	return nil
 }
 
+// Gob numbers each type the first time the process encodes it, and
+// every blob carries those numbers, so without this a policy snapshot's
+// bytes (and the state digests over them) would depend on what else the
+// process had gob-encoded before. Encoding each wire type once at init
+// fixes the numbers. The order is the one a fresh LFU checkpoint first
+// used, which keeps the digests of earlier LFU runs.
+func init() {
+	for _, v := range []any{&frequencyScorerState{}, &pipelineState{}, &oracleScorerState{}, &recency2State{}, &secondTouchState{}} {
+		if err := gob.NewEncoder(io.Discard).Encode(v); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // encodeStage and decodeStage are the shared gob plumbing for stage
 // state blobs.
 func encodeStage(v any) ([]byte, error) {
@@ -298,15 +315,32 @@ func (o *oracleScorer) restoreStage(data []byte) error {
 	return nil
 }
 
-// recency2State is the LRU-2 scorer's wire form: both reference-history
-// maps (history survives eviction, so the full maps are the state).
+// recency2State is the LRU-2 scorer's wire form: every program's
+// reference history, in program order (history survives eviction, so
+// all of it is the state). Last and Prev are the maps earlier snapshots
+// wrote instead; gob writes a map in iteration order, so one state gave
+// different bytes each time. They are still read.
 type recency2State struct {
 	Last map[trace.ProgramID]time.Duration
 	Prev map[trace.ProgramID]time.Duration
+	Refs []recency2Ref
+}
+
+// recency2Ref is one program's last reference and, when HasPrev, the
+// one before it.
+type recency2Ref struct {
+	Program    trace.ProgramID
+	Last, Prev time.Duration
+	HasPrev    bool
 }
 
 func (r *recency2Scorer) snapshotStage() ([]byte, error) {
-	return encodeStage(&recency2State{Last: r.last, Prev: r.prev})
+	st := recency2State{Refs: make([]recency2Ref, 0, len(r.last))}
+	for _, p := range slices.Sorted(maps.Keys(r.last)) {
+		prev, ok := r.prev[p]
+		st.Refs = append(st.Refs, recency2Ref{Program: p, Last: r.last[p], Prev: prev, HasPrev: ok})
+	}
+	return encodeStage(&st)
 }
 
 func (r *recency2Scorer) restoreStage(data []byte) error {
@@ -314,13 +348,18 @@ func (r *recency2Scorer) restoreStage(data []byte) error {
 	if err := decodeStage(data, &st); err != nil {
 		return err
 	}
-	r.last = st.Last
-	r.prev = st.Prev
+	r.last, r.prev = st.Last, st.Prev
 	if r.last == nil {
-		r.last = make(map[trace.ProgramID]time.Duration)
+		r.last = make(map[trace.ProgramID]time.Duration, len(st.Refs))
 	}
 	if r.prev == nil {
-		r.prev = make(map[trace.ProgramID]time.Duration)
+		r.prev = make(map[trace.ProgramID]time.Duration, len(st.Refs))
+	}
+	for _, ref := range st.Refs {
+		r.last[ref.Program] = ref.Last
+		if ref.HasPrev {
+			r.prev[ref.Program] = ref.Prev
+		}
 	}
 	return nil
 }
@@ -329,13 +368,26 @@ func (r *recency2Scorer) restoreStage(data []byte) error {
 func (s *sizeFrequencyScorer) snapshotStage() ([]byte, error) { return s.freq.snapshotStage() }
 func (s *sizeFrequencyScorer) restoreStage(data []byte) error { return s.freq.restoreStage(data) }
 
-// secondTouchState is the bypass-on-first-touch filter's wire form.
+// secondTouchState is the bypass-on-first-touch filter's wire form:
+// each requested program's touch count (1 or 2), in program order. Seen
+// is the map earlier snapshots wrote instead, in map iteration order;
+// it is still read.
 type secondTouchState struct {
-	Seen map[trace.ProgramID]uint8
+	Seen    map[trace.ProgramID]uint8
+	Touched []programTouches
+}
+
+type programTouches struct {
+	Program trace.ProgramID
+	Count   uint8
 }
 
 func (a *secondTouchAdmission) snapshotStage() ([]byte, error) {
-	return encodeStage(&secondTouchState{Seen: a.seen})
+	st := secondTouchState{Touched: make([]programTouches, 0, len(a.seen))}
+	for _, p := range slices.Sorted(maps.Keys(a.seen)) {
+		st.Touched = append(st.Touched, programTouches{Program: p, Count: a.seen[p]})
+	}
+	return encodeStage(&st)
 }
 
 func (a *secondTouchAdmission) restoreStage(data []byte) error {
@@ -345,7 +397,10 @@ func (a *secondTouchAdmission) restoreStage(data []byte) error {
 	}
 	a.seen = st.Seen
 	if a.seen == nil {
-		a.seen = make(map[trace.ProgramID]uint8)
+		a.seen = make(map[trace.ProgramID]uint8, len(st.Touched))
+	}
+	for _, t := range st.Touched {
+		a.seen[t.Program] = t.Count
 	}
 	return nil
 }

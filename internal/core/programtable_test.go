@@ -227,6 +227,56 @@ func TestRestoreRejectsMalformedPlacements(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsCorruptMeters: a meter grows to the largest hour
+// restored into it, so restore bounds the hours by the snapshot clock (a
+// transfer served by then ends at most one segment later) and rejects
+// negative bits, instead of allocating terabytes for a corrupt row.
+func TestRestoreRejectsCorruptMeters(t *testing.T) {
+	tr := snapshotTestTrace(t)
+	sys, err := NewSystem(snapshotTestConfig("lfu", 1), WorkloadFromTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SubmitBatch(tr.Records[:len(tr.Records)/2]); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sys.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := int64((st.LastStart + units.SegmentDuration) / time.Hour)
+	for name, buckets := range map[string]map[int64]int64{
+		"hour 2^40":                   {1 << 40: 8},
+		"hour 100000":                 {100000: 8},
+		"hour past the last transfer": {last + 1: 8},
+		"negative hour":               {-1: 8},
+		"negative bits":               {0: -8},
+	} {
+		for _, meter := range []string{"server", "demand", "coax"} {
+			bad := *st
+			bad.Shards = append([]ShardState(nil), st.Shards...)
+			sh := &bad.Shards[1]
+			switch meter {
+			case "server":
+				sh.ServerBuckets = buckets
+			case "demand":
+				sh.DemandBuckets = buckets
+			case "coax":
+				sh.CoaxBuckets = buckets
+			}
+			if _, err := RestoreSystem(&bad, RestoreOptions{}); err == nil {
+				t.Errorf("%s meter, %s: restore accepted the buckets", meter, name)
+			}
+		}
+	}
+	ok := *st
+	ok.Shards = append([]ShardState(nil), st.Shards...)
+	ok.Shards[1].ServerBuckets = map[int64]int64{last: 8}
+	if _, err := RestoreSystem(&ok, RestoreOptions{}); err != nil {
+		t.Errorf("bucket in the last hour a transfer reaches: %v", err)
+	}
+}
+
 // TestRestoredPlacementSizedByCopies: a restored placement takes cells
 // for the copies its row carries, not for its replica count, so a row
 // claiming MaxInt32 replicas over empty segments costs one cell per

@@ -190,18 +190,39 @@ type PlacementState struct {
 	RejectedGen  uint64
 }
 
-// ExportState serializes the engine's complete live state. The engine
-// keeps running — exporting is read-only apart from draining shards to
-// the last submitted record (exactly what Snapshot does).
-//
-// Strategies whose decision state cannot be serialized (global-lfu's
-// live cross-neighborhood feed) fail with a descriptive error.
-func (s *System) ExportState() (*SystemState, error) {
+// StateSink receives an engine state one part at a time: first the head
+// (the state with Shards nil) and the number of shards, then each shard
+// in neighborhood order. A sink must not modify the parts it is given.
+type StateSink interface {
+	Head(head *SystemState, shards int) error
+	Shard(sh *ShardState) error
+}
+
+// Stream hands the state to sink part by part, as a live engine's
+// export does.
+func (st *SystemState) Stream(sink StateSink) error {
+	head := *st
+	head.Shards = nil
+	if err := sink.Head(&head, len(st.Shards)); err != nil {
+		return err
+	}
+	for i := range st.Shards {
+		if err := sink.Shard(&st.Shards[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// streamState exports the engine's live state to sink one shard at a
+// time: each shard is exported, handed to sink and dropped before the
+// next. ExportState and Checkpoint are built on it.
+func (s *System) streamState(sink StateSink) error {
 	if s.closed {
-		return nil, fmt.Errorf("core: export of closed system")
+		return fmt.Errorf("core: export of closed system")
 	}
 	s.flush()
-	st := &SystemState{
+	head := &SystemState{
 		Version:     SnapshotVersion,
 		Config:      s.cfg,
 		Users:       append([]trace.UserID(nil), s.users...),
@@ -210,16 +231,50 @@ func (s *System) ExportState() (*SystemState, error) {
 		Submitted:   s.submitted,
 		LastStart:   s.lastStart,
 		Disruptions: append([]Disruption(nil), s.disruptions...),
-		Shards:      make([]ShardState, len(s.shards)),
+	}
+	if err := sink.Head(head, len(s.shards)); err != nil {
+		return err
 	}
 	for i, sh := range s.shards {
 		ss, err := sh.exportState()
 		if err != nil {
-			return nil, fmt.Errorf("core: neighborhood %d: %w", i, err)
+			return fmt.Errorf("core: neighborhood %d: %w", i, err)
 		}
-		st.Shards[i] = ss
+		if err := sink.Shard(&ss); err != nil {
+			return err
+		}
 	}
-	return st, nil
+	return nil
+}
+
+// ExportState serializes the engine's complete live state into one
+// value. The engine keeps running — exporting is read-only apart from
+// draining shards to the last submitted record (exactly what Snapshot
+// does).
+//
+// Strategies whose decision state cannot be serialized (global-lfu's
+// live cross-neighborhood feed) fail with a descriptive error.
+func (s *System) ExportState() (*SystemState, error) {
+	var c stateCollector
+	if err := s.streamState(&c); err != nil {
+		return nil, err
+	}
+	return c.st, nil
+}
+
+// stateCollector assembles a streamed state into one SystemState.
+type stateCollector struct{ st *SystemState }
+
+func (c *stateCollector) Head(head *SystemState, shards int) error {
+	st := *head
+	st.Shards = make([]ShardState, 0, shards)
+	c.st = &st
+	return nil
+}
+
+func (c *stateCollector) Shard(sh *ShardState) error {
+	c.st.Shards = append(c.st.Shards, *sh)
+	return nil
 }
 
 func (sh *shard) exportState() (ShardState, error) {
@@ -305,22 +360,49 @@ func (is *IndexServer) exportState() (IndexState, error) {
 		Generation: is.generation,
 		FillCursor: is.fillCursor,
 	}
-	for _, k := range is.placedKeys() {
+	keys := is.placedKeys()
+	if len(keys) == 0 {
+		return st, nil
+	}
+	// Every placement's Slots share two backing arrays, one of rows and
+	// one of copies, sized in a first pass. A segment without copies
+	// keeps a nil row.
+	segs, copies := 0, 0
+	for _, k := range keys {
 		pp := &is.placement[k]
-		ps := PlacementState{
+		segs += pp.segs()
+		for idx := range pp.segs() {
+			copies += len(pp.copies(idx))
+		}
+	}
+	rows := make([][]int, segs)
+	cells := make([]int, copies)
+	st.Placements = make([]PlacementState, len(keys))
+	for i, k := range keys {
+		pp := &is.placement[k]
+		n := pp.segs()
+		ps := &st.Placements[i]
+		*ps = PlacementState{
 			Program:      is.cache.Program(k),
 			Replicas:     int(pp.replicas),
-			Slots:        make([][]int, pp.segs()),
+			Slots:        rows[:n:n],
 			RejectedSegs: int(pp.rejectedSegs),
 			RejectedReps: int(pp.rejectedReps),
 			RejectedGen:  pp.rejectedGen,
 		}
-		for idx := range ps.Slots {
-			for _, pi := range pp.copies(idx) {
-				ps.Slots[idx] = append(ps.Slots[idx], int(pi))
+		rows = rows[n:]
+		for idx := range n {
+			c := pp.copies(idx)
+			if len(c) == 0 {
+				continue
 			}
+			row := cells[:len(c):len(c)]
+			cells = cells[len(c):]
+			for j, pi := range c {
+				row[j] = int(pi)
+			}
+			ps.Slots[idx] = row
 		}
-		st.Placements = append(st.Placements, ps)
 	}
 	return st, nil
 }
@@ -415,9 +497,18 @@ func (sh *shard) restoreState(st ShardState, now time.Duration, seed bool) error
 		return err
 	}
 
-	sh.serverMeter.RestoreBuckets(st.ServerBuckets)
-	sh.demandMeter.RestoreBuckets(st.DemandBuckets)
-	sh.coaxMeter.RestoreBuckets(st.CoaxBuckets)
+	// A snapshot is drained to its last record's start, and a served
+	// transfer ends at most one segment after it starts.
+	maxHour := int64((now + units.SegmentDuration) / time.Hour)
+	if err := sh.serverMeter.RestoreBuckets(st.ServerBuckets, maxHour); err != nil {
+		return fmt.Errorf("server meter: %w", err)
+	}
+	if err := sh.demandMeter.RestoreBuckets(st.DemandBuckets, maxHour); err != nil {
+		return fmt.Errorf("demand meter: %w", err)
+	}
+	if err := sh.coaxMeter.RestoreBuckets(st.CoaxBuckets, maxHour); err != nil {
+		return fmt.Errorf("coax meter: %w", err)
+	}
 	sh.counters = st.Counters
 	sh.active = st.Active
 	sh.obsHour = st.ObsHour

@@ -35,32 +35,45 @@ func WriteState(w io.Writer, st *SystemState) error {
 	if st == nil {
 		return fmt.Errorf("core: nil system state")
 	}
+	return st.Stream(&stateEncoder{w: w})
+}
+
+// stateEncoder is the StateSink that writes WriteState's framing, so a
+// live engine streams to the same format one shard at a time.
+type stateEncoder struct {
+	w   io.Writer
+	enc *gob.Encoder
+	n   int // shards written
+}
+
+func (e *stateEncoder) Head(head *SystemState, shards int) error {
 	hdr := snapshotHeader{
 		Format:    snapshotFormat,
-		Version:   st.Version,
-		Strategy:  st.Strategy(),
-		At:        st.LastStart.String(),
-		Submitted: st.Submitted,
-		Shards:    len(st.Shards),
+		Version:   head.Version,
+		Strategy:  head.Strategy(),
+		At:        head.LastStart.String(),
+		Submitted: head.Submitted,
+		Shards:    shards,
 	}
 	line, err := json.Marshal(hdr)
 	if err != nil {
 		return fmt.Errorf("core: encode snapshot header: %w", err)
 	}
-	if _, err := w.Write(append(line, '\n')); err != nil {
+	if _, err := e.w.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("core: write snapshot header: %w", err)
 	}
-	enc := gob.NewEncoder(w)
-	head := *st
-	head.Shards = nil
-	if err := enc.Encode(&head); err != nil {
+	e.enc = gob.NewEncoder(e.w)
+	if err := e.enc.Encode(head); err != nil {
 		return fmt.Errorf("core: encode snapshot: %w", err)
 	}
-	for i := range st.Shards {
-		if err := enc.Encode(&st.Shards[i]); err != nil {
-			return fmt.Errorf("core: encode snapshot shard %d: %w", i, err)
-		}
+	return nil
+}
+
+func (e *stateEncoder) Shard(sh *ShardState) error {
+	if err := e.enc.Encode(sh); err != nil {
+		return fmt.Errorf("core: encode snapshot shard %d: %w", e.n, err)
 	}
+	e.n++
 	return nil
 }
 
@@ -103,13 +116,51 @@ func ReadState(r io.Reader) (*SystemState, error) {
 // rename), so a crash mid-write never leaves a truncated snapshot where
 // a good one was expected.
 func SaveStateFile(path string, st *SystemState) error {
+	return saveFile(path, func(w io.Writer) error { return WriteState(w, st) })
+}
+
+// Checkpoint writes the live engine's state to path as
+// SaveStateFile(path, ExportState()) would, but exports, encodes and
+// drops one shard at a time, so no copy of the whole engine is ever
+// held. also receives every part too, after the file: a digest rides
+// the same pass.
+func (s *System) Checkpoint(path string, also StateSink) error {
+	return saveFile(path, func(w io.Writer) error {
+		return s.streamState(teeSink{&stateEncoder{w: w}, also})
+	})
+}
+
+// teeSink hands every part to each of its sinks in turn.
+type teeSink []StateSink
+
+func (t teeSink) Head(head *SystemState, shards int) error {
+	for _, s := range t {
+		if err := s.Head(head, shards); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t teeSink) Shard(sh *ShardState) error {
+	for _, s := range t {
+		if err := s.Shard(sh); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// saveFile writes path atomically: write fills a buffered temp file,
+// which is flushed, closed and renamed over path.
+func saveFile(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".snapshot-*")
 	if err != nil {
 		return fmt.Errorf("core: save snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name())
 	bw := bufio.NewWriter(tmp)
-	if err := WriteState(bw, st); err != nil {
+	if err := write(bw); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -160,3 +160,27 @@ func TestQuantileFloat(t *testing.T) {
 		t.Error("Quantile mutated its input")
 	}
 }
+
+func TestRestoreBucketsBounds(t *testing.T) {
+	m := NewRateMeter()
+	if err := m.RestoreBuckets(map[int64]int64{0: 8, 3: 0, 5: 16}, 5); err != nil {
+		t.Fatal(err)
+	}
+	if m.at(0) != 8 || m.at(5) != 16 || m.TotalBits() != 24 {
+		t.Fatalf("restored buckets %v", m.Buckets())
+	}
+	for name, buckets := range map[string]map[int64]int64{
+		"hour past the bound": {6: 8},
+		"hour 2^40":           {1 << 40: 8},
+		"negative hour":       {-1: 8},
+		"negative bits":       {2: -8},
+	} {
+		m := NewRateMeter()
+		if err := m.RestoreBuckets(buckets, 5); err == nil {
+			t.Errorf("%s: restore accepted %v", name, buckets)
+		}
+		if len(m.bits) != 0 {
+			t.Errorf("%s: failed restore left %d buckets", name, len(m.bits))
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package metrics
 
-import "cablevod/internal/units"
+import (
+	"fmt"
+
+	"cablevod/internal/units"
+)
 
 // Buckets returns a copy of the meter's absolute-hour bit buckets — the
 // meter's complete serializable state. Untouched hours are omitted, so
@@ -17,14 +21,26 @@ func (m *RateMeter) Buckets() map[int64]int64 {
 }
 
 // RestoreBuckets replaces the meter's contents with the given buckets
-// (copied, so the caller's map stays independent).
-func (m *RateMeter) RestoreBuckets(buckets map[int64]int64) {
+// (copied, so the caller's map stays independent). The meter grows to
+// the largest hour it is given, so hours must lie in [0, maxHour], and
+// bits must not be negative; otherwise the meter is left empty and an
+// error returned.
+func (m *RateMeter) RestoreBuckets(buckets map[int64]int64, maxHour int64) error {
 	m.bits = nil
 	for idx, b := range buckets {
-		if idx >= 0 && b != 0 {
+		if idx < 0 || idx > maxHour {
+			return fmt.Errorf("metrics: bucket for hour %d outside [0, %d]", idx, maxHour)
+		}
+		if b < 0 {
+			return fmt.Errorf("metrics: hour %d has negative bits %d", idx, b)
+		}
+	}
+	for idx, b := range buckets {
+		if b != 0 {
 			*m.bucket(idx) = b
 		}
 	}
+	return nil
 }
 
 // HourWindowSamples returns the average rate of every absolute hour in

@@ -1,11 +1,11 @@
 package universe
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"time"
 
 	"cablevod/internal/core"
@@ -190,25 +190,15 @@ func LongRun(tier Config, base core.Config, opts LongRunOptions) (*LongRunResult
 	submitted := meta.Submitted
 	hours := meta.HoursDone
 
+	// A checkpoint exports, encodes, digests and drops one shard at a
+	// time, so it never holds a copy of the whole engine or the state's
+	// JSON text.
 	checkpoint := func() error {
-		st, err := sys.ExportState()
-		if err != nil {
+		d := newDigester(sha256.New())
+		if err := sys.Checkpoint(statePath, d); err != nil {
 			return err
 		}
-		digest, err := StateDigest(st)
-		if err != nil {
-			return err
-		}
-		err = core.SaveStateFile(statePath, st)
-		// The exported copy is the process's largest transient — at mega
-		// scale it rivals the engine itself. Drop it and hand the pages
-		// back before the next leg, or each checkpoint ratchets the GC
-		// heap target (and the run's peak RSS) a copy higher.
-		st = nil
-		debug.FreeOSMemory()
-		if err != nil {
-			return err
-		}
+		digest := d.sum(false)
 		meta.HoursDone = hours
 		meta.Legs++
 		meta.Submitted = submitted
