@@ -72,11 +72,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // submitRequest is the POST /submit wire format: a batch of session
 // records, start-ordered, in the engine's native units (durations in
-// nanoseconds).
+// nanoseconds). The handler decodes it with decodeSubmit, not through
+// this type.
 type submitRequest struct {
 	Records []trace.Record `json:"records"`
 }
 
+// handleSubmit reads the whole body, up to maxSubmitBody, and decodes it
+// with decodeSubmit. That accepts what encoding/json with unknown fields
+// disallowed accepts into submitRequest, except for two bodies, both a
+// 400: one with a second top-level "records" key, and one over
+// maxSubmitBody even when its object closes inside the cap. Records are
+// validated as they are decoded, so a flood of invalid records fails at
+// its first element instead of growing the batch.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.mode != "ingest" {
 		writeJSON(w, http.StatusConflict, map[string]string{
@@ -84,14 +92,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	var req submitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	buf := submitBufs.Get().(*submitBuf)
+	defer buf.release()
+	if _, err := buf.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxSubmitBody)); err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "read body: " + err.Error()})
+		return
+	}
+	recs, err := decodeSubmit(buf.body.Bytes(), buf.recs)
+	buf.recs = recs
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "decode: " + err.Error()})
 		return
 	}
-	if len(req.Records) == 0 {
+	if len(recs) == 0 {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "empty batch"})
 		return
 	}
@@ -102,7 +115,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "engine closed"})
 		return
 	}
-	if err := s.sys.SubmitBatch(req.Records); err != nil {
+	if err := s.sys.SubmitBatch(recs); err != nil {
 		// A rejected batch leaves engine state unchanged (SubmitBatch
 		// validates before processing), so 400 is accurate.
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
@@ -116,7 +129,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	m := s.published.Load()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"accepted":      len(req.Records),
+		"accepted":      len(recs),
 		"virtual_hours": m.Now.Hours(),
 		"hit_ratio":     m.HitRatio(),
 	})

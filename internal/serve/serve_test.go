@@ -9,7 +9,9 @@ import (
 	"math"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -80,6 +82,37 @@ func getBody(t *testing.T, url string) (int, string) {
 		t.Fatalf("GET %s: read: %v", url, err)
 	}
 	return resp.StatusCode, string(b)
+}
+
+// startIngest runs an ingest daemon provisioned for the test workload
+// until the test ends, and returns its base URL and the workload.
+func startIngest(t *testing.T) (string, *trace.Trace) {
+	t.Helper()
+	tr, err := synth.Generate(synth.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{
+		Addr:     ":0",
+		Engine:   testEngine(),
+		Workload: core.Workload{Users: tr.Users(), Lengths: core.TraceLengths(tr)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startServer(t, s), tr
+}
+
+// postSubmit posts body to base's /submit and returns the status code.
+func postSubmit(t *testing.T, base string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(base+"/submit", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 // snapshotWire mirrors the fields of core.Metrics' custom JSON shape
@@ -306,32 +339,14 @@ func TestServeIngest(t *testing.T) {
 // was, and the daemon still shuts down cleanly (startServer's cleanup
 // fails the test if Run errors).
 func TestServeSubmitRejectsFarFutureRecord(t *testing.T) {
-	tr, err := synth.Generate(synth.TestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Options{
-		Addr:     ":0",
-		Engine:   testEngine(),
-		Workload: core.Workload{Users: tr.Users(), Lengths: core.TraceLengths(tr)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := startServer(t, s)
+	base, tr := startIngest(t)
 	post := func(recs []trace.Record) int {
 		t.Helper()
 		body, err := json.Marshal(submitRequest{Records: recs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(base+"/submit", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
+		return postSubmit(t, base, body)
 	}
 	batch := tr.Records[:500]
 	if code := post(batch); code != http.StatusOK {
@@ -346,6 +361,74 @@ func TestServeSubmitRejectsFarFutureRecord(t *testing.T) {
 	getJSON(t, base+"/snapshot", &snap)
 	if snap.Submitted != len(batch) {
 		t.Errorf("snapshot shows %d submitted after the rejected record, want %d", snap.Submitted, len(batch))
+	}
+}
+
+// TestServeSubmitRejectsOversizeBody: a body one byte over
+// maxSubmitBody is a 400 that leaves the engine as it was, even when its
+// object closes inside the cap, and the daemon goes on taking batches.
+func TestServeSubmitRejectsOversizeBody(t *testing.T) {
+	base, tr := startIngest(t)
+	batch := tr.Records[:500]
+	valid, err := json.Marshal(submitRequest{Records: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := append(bytes.Clone(valid), bytes.Repeat([]byte{' '}, maxSubmitBody+1-len(valid))...)
+	if code := postSubmit(t, base, over); code != http.StatusBadRequest {
+		t.Errorf("body of %d bytes = %d, want 400", len(over), code)
+	}
+	var snap snapshotWire
+	getJSON(t, base+"/snapshot", &snap)
+	if snap.Submitted != 0 {
+		t.Errorf("snapshot shows %d submitted after the oversize body, want 0", snap.Submitted)
+	}
+	if code := postSubmit(t, base, valid); code != http.StatusOK {
+		t.Fatalf("valid batch after the oversize body = %d, want 200", code)
+	}
+	getJSON(t, base+"/snapshot", &snap)
+	if snap.Submitted != len(batch) {
+		t.Errorf("snapshot shows %d submitted, want %d", snap.Submitted, len(batch))
+	}
+}
+
+// TestServeSubmitConcurrentBodies posts one batch from several clients
+// at once: the bodies decode concurrently in pooled buffers, then the
+// engine takes exactly one copy and rejects the others as out of order.
+func TestServeSubmitConcurrentBodies(t *testing.T) {
+	base, tr := startIngest(t)
+	batch := tr.Records[:500]
+	body, err := json.Marshal(submitRequest{Records: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients = 8
+	codes := make([]int, clients)
+	var wg sync.WaitGroup
+	wg.Add(clients)
+	for i := range clients {
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(base+"/submit", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			codes[i] = resp.StatusCode
+		}()
+	}
+	wg.Wait()
+	slices.Sort(codes)
+	want := append([]int{http.StatusOK}, slices.Repeat([]int{http.StatusBadRequest}, clients-1)...)
+	if !slices.Equal(codes, want) {
+		t.Errorf("statuses %v, want one 200 and %d 400s", codes, clients-1)
+	}
+	var snap snapshotWire
+	getJSON(t, base+"/snapshot", &snap)
+	if snap.Submitted != len(batch) {
+		t.Errorf("snapshot shows %d submitted, want %d", snap.Submitted, len(batch))
 	}
 }
 
