@@ -84,8 +84,8 @@ func (s *System) Fork(n int) ([]*System, error) {
 }
 
 // SaveState writes a SystemState to path in the versioned snapshot
-// format (a JSON header line followed by a gob body), atomically via a
-// temp file and rename.
+// format (a JSON header line followed by checksummed binary sections,
+// one per neighborhood), atomically via a temp file and rename.
 func SaveState(path string, st *SystemState) error {
 	return core.SaveStateFile(path, st)
 }

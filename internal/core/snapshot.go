@@ -13,12 +13,14 @@ import (
 	"cablevod/internal/units"
 )
 
-// SnapshotVersion is the serialized engine-state format version. Bump it
-// on any change to the state structs below or to WriteState's framing;
-// ReadState rejects mismatches. v2 split the gob body into a head
-// message plus one message per shard, bounding the encoder's in-memory
-// buffer at mega scale. v3 added the fused broadcast-end event kind to
-// the pending-event encoding.
+// SnapshotVersion is the version of the state schema: the state types
+// below and what their fields mean. Bump it on any change to them.
+// SystemState.Version carries it, so StateDigest hashes it, and
+// ReadState and RestoreSystem reject any other. The layout of a state
+// file has a version of its own, in the file's header line (see
+// snapshotio.go). v2 split the state into a head and one part per
+// shard, bounding the encoder's in-memory buffer at mega scale. v3 added
+// the fused broadcast-end event kind to the pending events.
 const SnapshotVersion = 3
 
 // SystemState is the complete serialized state of a running System: the
@@ -30,7 +32,7 @@ const SnapshotVersion = 3
 // Snapshots are taken between submissions: pending mailboxes are empty
 // and every shard is drained to the last submitted record's start.
 type SystemState struct {
-	// Version is the format version (SnapshotVersion).
+	// Version is the state schema version (SnapshotVersion).
 	Version int
 
 	// Config is the resolved run configuration.

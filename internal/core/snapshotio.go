@@ -2,19 +2,67 @@ package core
 
 import (
 	"bufio"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
-// snapshotFormat identifies snapshot files.
-const snapshotFormat = "cablevod-snapshot"
+// A state file is one JSON header line (snapshotHeader), so `head -1`
+// tells a human what the file is, then a binary body of sections: a
+// head section, holding the state without its shards, then one section
+// per shard in neighborhood order, then the end of the file. A section
+// is
+//
+//	uvarint(len(payload)) payload crc32c(payload)
+//
+// where the CRC-32C (Castagnoli) takes four bytes, little-endian. A
+// payload is a run of fields, each struct's in declaration order
+// (statecodec.go):
+//
+//   - an integer of a signed type is a zigzag varint
+//     (binary.AppendVarint), of an unsigned type a uvarint;
+//   - a bool is one byte, 0 or 1; a string is a uvarint length and its
+//     bytes;
+//   - a slice or a map is a uvarint of its length plus one, 0 for nil,
+//     then its elements; a map's elements are key, value pairs in
+//     increasing key order, so one state always gives the same bytes;
+//   - a struct is its fields.
+//
+// The head section writes, in place of SystemState.Shards, the shard
+// count, which must equal the header's. IndexState.Placements writes
+// two totals after its count, before its elements: the segment rows of
+// all its placements' Slots and the copies in those rows, so a reader
+// sizes one backing array of each per shard, as exportState does.
+//
+// The reader takes a section's bytes only as they arrive and checks its
+// CRC before it decodes it. It checks every count against the bytes
+// left in the section before it allocates (each field of an element
+// takes at least a byte), requires each section to be used up and the
+// file to end after the last one. So a truncated, corrupt or hostile
+// file fails with an error, and a read allocates at most a small
+// multiple of the file's size (FuzzReadState states the multiple).
 
-// snapshotHeader is the file's first line: plain JSON so `head -1` tells
-// a human what the file is without decoding the gob body that follows.
+// snapshotFormat identifies state files, and stateFileVersion is the
+// version of their layout. It is separate from SnapshotVersion, the
+// version of the state types the body carries. Version 3 files had a
+// gob body.
+const (
+	snapshotFormat   = "cablevod-snapshot"
+	stateFileVersion = 4
+)
+
+// maxHeaderLine bounds the header line, and is the reader's buffer size.
+const maxHeaderLine = 4 << 10
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// snapshotHeader is the file's first line.
 type snapshotHeader struct {
 	Format    string `json:"format"`
 	Version   int    `json:"version"`
@@ -24,13 +72,7 @@ type snapshotHeader struct {
 	Shards    int    `json:"shards"`
 }
 
-// WriteState serializes a SystemState to w: one JSON header line, then
-// a gob stream — the state with Shards elided, followed by one message
-// per shard. Gob buffers each top-level message wholly in memory before
-// emitting it, so encoding a mega-scale state as a single message would
-// materialize a multi-gigabyte buffer at exactly the moment the
-// engine's own footprint peaks; per-shard messages bound the buffer to
-// the largest neighborhood.
+// WriteState writes a SystemState to w as a state file.
 func WriteState(w io.Writer, st *SystemState) error {
 	if st == nil {
 		return fmt.Errorf("core: nil system state")
@@ -38,18 +80,20 @@ func WriteState(w io.Writer, st *SystemState) error {
 	return st.Stream(&stateEncoder{w: w})
 }
 
-// stateEncoder is the StateSink that writes WriteState's framing, so a
-// live engine streams to the same format one shard at a time.
+// stateEncoder is the StateSink that writes WriteState's format, so a
+// live engine streams to the same bytes one shard at a time. It builds
+// one section at a time, so its buffer is bounded by the largest
+// neighborhood.
 type stateEncoder struct {
-	w   io.Writer
-	enc *gob.Encoder
-	n   int // shards written
+	w io.Writer
+	e encoder
+	n int // shards written
 }
 
-func (e *stateEncoder) Head(head *SystemState, shards int) error {
+func (s *stateEncoder) Head(head *SystemState, shards int) error {
 	hdr := snapshotHeader{
 		Format:    snapshotFormat,
-		Version:   head.Version,
+		Version:   stateFileVersion,
 		Strategy:  head.Strategy(),
 		At:        head.LastStart.String(),
 		Submitted: head.Submitted,
@@ -59,29 +103,48 @@ func (e *stateEncoder) Head(head *SystemState, shards int) error {
 	if err != nil {
 		return fmt.Errorf("core: encode snapshot header: %w", err)
 	}
-	if _, err := e.w.Write(append(line, '\n')); err != nil {
+	if _, err := s.w.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("core: write snapshot header: %w", err)
 	}
-	e.enc = gob.NewEncoder(e.w)
-	if err := e.enc.Encode(head); err != nil {
-		return fmt.Errorf("core: encode snapshot: %w", err)
+	s.e.head(head, shards)
+	if err := s.section(); err != nil {
+		return fmt.Errorf("core: write snapshot: %w", err)
 	}
 	return nil
 }
 
-func (e *stateEncoder) Shard(sh *ShardState) error {
-	if err := e.enc.Encode(sh); err != nil {
-		return fmt.Errorf("core: encode snapshot shard %d: %w", e.n, err)
+func (s *stateEncoder) Shard(sh *ShardState) error {
+	s.e.shard(sh)
+	if err := s.section(); err != nil {
+		return fmt.Errorf("core: write snapshot shard %d: %w", s.n, err)
 	}
-	e.n++
+	s.n++
 	return nil
 }
 
-// ReadState deserializes a SystemState written by WriteState, verifying
-// the format and version before decoding the body.
+// section frames the payload the encoder holds, writes it and empties
+// the encoder.
+func (s *stateEncoder) section() error {
+	var size [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(size[:], uint64(len(s.e.b)))
+	s.e.b = binary.LittleEndian.AppendUint32(s.e.b, crc32.Checksum(s.e.b, castagnoli))
+	_, err := s.w.Write(size[:n])
+	if err == nil {
+		_, err = s.w.Write(s.e.b)
+	}
+	s.e.b = s.e.b[:0]
+	return err
+}
+
+// ReadState reads a SystemState written by WriteState. It checks the
+// header's format and version, then every section's checksum, counts
+// and length, and fails on anything after the last section.
 func ReadState(r io.Reader) (*SystemState, error) {
-	br := bufio.NewReader(r)
-	line, err := br.ReadBytes('\n')
+	br := bufio.NewReaderSize(r, maxHeaderLine)
+	line, err := br.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		return nil, fmt.Errorf("core: not a snapshot file (no header line in its first %d bytes)", maxHeaderLine)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: read snapshot header: %w", err)
 	}
@@ -92,24 +155,102 @@ func ReadState(r io.Reader) (*SystemState, error) {
 	if hdr.Format != snapshotFormat {
 		return nil, fmt.Errorf("core: not a snapshot file (format %q)", hdr.Format)
 	}
-	if hdr.Version != SnapshotVersion {
-		return nil, fmt.Errorf("core: snapshot version %d, this build reads %d", hdr.Version, SnapshotVersion)
+	if hdr.Version != stateFileVersion {
+		return nil, fmt.Errorf("core: snapshot file version %d, this build reads version %d", hdr.Version, stateFileVersion)
 	}
-	dec := gob.NewDecoder(br)
-	var st SystemState
-	if err := dec.Decode(&st); err != nil {
-		return nil, fmt.Errorf("core: decode snapshot: %w", err)
+	if hdr.Shards < 0 {
+		return nil, fmt.Errorf("core: snapshot header has %d shards", hdr.Shards)
 	}
-	if st.Version != hdr.Version {
-		return nil, fmt.Errorf("core: snapshot body version %d disagrees with header %d", st.Version, hdr.Version)
+
+	body := sectionReader{r: br}
+	d, err := body.next()
+	if err != nil {
+		return nil, fmt.Errorf("core: read snapshot head: %w", err)
 	}
-	st.Shards = make([]ShardState, hdr.Shards)
-	for i := range st.Shards {
-		if err := dec.Decode(&st.Shards[i]); err != nil {
+	st := new(SystemState)
+	shards := d.head(st)
+	if err := d.end(); err != nil {
+		return nil, fmt.Errorf("core: decode snapshot head: %w", err)
+	}
+	if shards != uint64(hdr.Shards) {
+		return nil, fmt.Errorf("core: snapshot body has %d shards, its header %d", shards, hdr.Shards)
+	}
+	// The shard slice grows by doubling as sections arrive, so a count
+	// no section backs allocates nothing (FuzzReadState's allocation
+	// bound counts on the doubling).
+	st.Shards = []ShardState{}
+	for i := range hdr.Shards {
+		d, err := body.next()
+		if err != nil {
+			return nil, fmt.Errorf("core: read snapshot shard %d/%d: %w", i, hdr.Shards, err)
+		}
+		if len(st.Shards) == cap(st.Shards) {
+			grown := make([]ShardState, len(st.Shards), max(2*len(st.Shards), 4))
+			copy(grown, st.Shards)
+			st.Shards = grown
+		}
+		st.Shards = append(st.Shards, ShardState{})
+		d.shard(&st.Shards[i])
+		if err := d.end(); err != nil {
 			return nil, fmt.Errorf("core: decode snapshot shard %d/%d: %w", i, hdr.Shards, err)
 		}
 	}
-	return &st, nil
+	switch _, err := br.ReadByte(); {
+	case err == nil:
+		return nil, fmt.Errorf("core: snapshot has bytes after its last section")
+	case err != io.EOF:
+		return nil, fmt.Errorf("core: read snapshot: %w", err)
+	}
+	return st, nil
+}
+
+// sectionReader reads a body's sections into one buffer, reused from
+// section to section.
+type sectionReader struct {
+	r   *bufio.Reader
+	buf []byte
+}
+
+// maxSection bounds a section's declared length, so the arithmetic on it
+// cannot overflow; a file cannot back anything near it anyway.
+const maxSection = 1 << 50
+
+// next reads one section and checks its CRC, returning a decoder over
+// its payload. The buffer grows by at most the bytes already read (or
+// 64 KiB) at a time, so a length the file cannot back allocates no more
+// than twice what the file holds.
+func (s *sectionReader) next() (decoder, error) {
+	size, err := binary.ReadUvarint(s.r)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return decoder{}, err
+	}
+	if size > maxSection {
+		return decoder{}, fmt.Errorf("section of %d bytes", size)
+	}
+	want := int(size) + crc32.Size
+	buf := s.buf[:0]
+	for len(buf) < want {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(want-len(buf), max(len(buf), 64<<10)))
+		}
+		n, err := io.ReadFull(s.r, buf[len(buf):min(cap(buf), want)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return decoder{}, err
+		}
+	}
+	s.buf = buf
+	payload := buf[:size]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[size:]) {
+		return decoder{}, fmt.Errorf("section of %d bytes fails its checksum", size)
+	}
+	return decoder{b: payload}, nil
 }
 
 // SaveStateFile writes a snapshot to path atomically (temp file +
