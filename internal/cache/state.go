@@ -19,7 +19,9 @@ import (
 // order structure plus whatever per-stage state its scorer and admission
 // stages carry. Restoring rebuilds both bit-exactly, so a run resumed
 // from a snapshot makes the same decisions the uninterrupted run would
-// have.
+// have. A policy blob is encoding/gob's bytes: the pipeline's own and
+// the frequency scorer's are written and read by hand, with no
+// reflection (gobwire.go); the other stages' go through gob.
 
 // Entry is one cached program with its charged admission size, in
 // eviction order — the serializable cache contents.
@@ -28,15 +30,14 @@ type Entry struct {
 	Size    units.ByteSize
 }
 
-// Entries returns the cached programs with their charged sizes, in
-// eviction order (least valuable first).
-func (c *Cache) Entries() []Entry {
-	out := make([]Entry, 0, c.n)
+// AppendEntries appends the cached programs with their charged sizes to
+// dst, in eviction order (least valuable first).
+func (c *Cache) AppendEntries(dst []Entry) []Entry {
 	c.kp.ascendKeys(func(k Key, p trace.ProgramID, _ int) bool {
-		out = append(out, Entry{Program: p, Size: c.sizes[k]})
+		dst = append(dst, Entry{Program: p, Size: c.sizes[k]})
 		return true
 	})
-	return out
+	return dst
 }
 
 // RestoreEntries refills an empty cache from exported entries. With seed
@@ -128,7 +129,9 @@ type stageSnapshotter interface {
 // pipelineState is the wire form of a Pipeline's state: the victim-order
 // structure as an ordered (program, score) list — rebuilt by re-adding
 // in ascend order, which reproduces the bucket/recency chains exactly —
-// plus the opaque per-stage blobs.
+// plus the opaque per-stage blobs. The blob is gob's encoding of it,
+// written and read by hand (gobwire.go): Pipeline.SnapshotState and
+// RestoreState are its codec pair.
 type pipelineState struct {
 	Entries      []pipelineEntry
 	Scorer       []byte
@@ -145,69 +148,158 @@ var (
 	_ Snapshottable = (*Pipeline)(nil)
 )
 
+// handCoded is a stage whose state is a frequency scorer's hand-written
+// blob (freqBlob): stateBody sizes the blob's value message and
+// appendState appends the blob, so the pipeline sizes its own blob, the
+// stage's included, before writing either.
+type handCoded interface {
+	stateBody() int
+	appendState(b []byte, body int) []byte
+}
+
 // SnapshotState serializes the pipeline's victim-order structure and
-// every stateful stage. It fails when a composed stage cannot serialize
-// its state (the global popularity feed).
+// every stateful stage into one buffer of the blob's exact size. It
+// fails when a composed stage cannot serialize its state (the global
+// popularity feed).
 func (pl *Pipeline) SnapshotState() ([]byte, error) {
 	ss, ok := pl.scorer.(stageSnapshotter)
 	if !ok {
 		return nil, fmt.Errorf("cache: pipeline %q: scorer %q does not support state snapshot", pl.name, pl.scorer.Name())
 	}
-	var st pipelineState
-	pl.set.ascend(func(p trace.ProgramID, score int) bool {
-		st.Entries = append(st.Entries, pipelineEntry{Program: p, Score: score})
-		return true
-	})
+	var scorer, admission []byte
 	var err error
-	if st.Scorer, err = ss.snapshotStage(); err != nil {
-		return nil, fmt.Errorf("cache: pipeline %q: scorer: %w", pl.name, err)
+	hand, _ := pl.scorer.(handCoded)
+	scorerBody, scorerLen := 0, 0
+	if hand != nil {
+		scorerBody = hand.stateBody()
+		scorerLen = freqBlob.size(scorerBody)
+	} else {
+		if scorer, err = ss.snapshotStage(); err != nil {
+			return nil, fmt.Errorf("cache: pipeline %q: scorer: %w", pl.name, err)
+		}
+		scorerLen = len(scorer)
 	}
 	if pl.admission != nil {
 		as, ok := pl.admission.(stageSnapshotter)
 		if !ok {
 			return nil, fmt.Errorf("cache: pipeline %q: admission %q does not support state snapshot", pl.name, pl.admission.Name())
 		}
-		if st.Admission, err = as.snapshotStage(); err != nil {
+		if admission, err = as.snapshotStage(); err != nil {
 			return nil, fmt.Errorf("cache: pipeline %q: admission: %w", pl.name, err)
 		}
-		st.HasAdmission = true
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-		return nil, fmt.Errorf("cache: pipeline %q: encode state: %w", pl.name, err)
+
+	entries, entryBytes := 0, 0
+	pl.set.ascend(func(p trace.ProgramID, score int) bool {
+		entries++
+		entryBytes += gobPairLen(int64(p), int64(score))
+		return true
+	})
+	fields := 0
+	if entries > 0 {
+		fields += 1 + gobUintLen(uint64(entries)) + entryBytes
 	}
-	return buf.Bytes(), nil
+	if scorerLen > 0 {
+		fields += 1 + gobUintLen(uint64(scorerLen)) + scorerLen
+	}
+	if len(admission) > 0 {
+		fields += 1 + gobUintLen(uint64(len(admission))) + len(admission)
+	}
+	if pl.admission != nil {
+		fields += 2 // HasAdmission
+	}
+	body := pipelineBlob.msgBody(fields)
+	b := pipelineBlob.begin(make([]byte, 0, pipelineBlob.size(body)), body)
+	last := -1
+	if entries > 0 {
+		b = appendGobField(b, &last, 0)
+		b = appendGobUint(b, uint64(entries))
+		pl.set.ascend(func(p trace.ProgramID, score int) bool {
+			b = appendGobPair(b, int64(p), int64(score))
+			return true
+		})
+	}
+	if scorerLen > 0 {
+		b = appendGobField(b, &last, 1)
+		b = appendGobUint(b, uint64(scorerLen))
+		if hand != nil {
+			b = hand.appendState(b, scorerBody)
+		} else {
+			b = append(b, scorer...)
+		}
+	}
+	if len(admission) > 0 {
+		b = appendGobField(b, &last, 2)
+		b = appendGobUint(b, uint64(len(admission)))
+		b = append(b, admission...)
+	}
+	if pl.admission != nil {
+		b = appendGobField(b, &last, 3)
+		b = append(b, 1)
+	}
+	return append(b, 0), nil
 }
 
 // RestoreState rebuilds a snapshot into a freshly built pipeline of the
 // same composition: stages first (so their clocks and histories are in
-// place), then the victim-order structure with its recorded scores.
+// place), then the victim-order structure with its recorded scores. The
+// pipeline's own fields are checked before any stage is touched, but a
+// stage checks its inner blob as it rebuilds from it, so a failed
+// restore can leave a stage half rebuilt and the pipeline unusable.
 func (pl *Pipeline) RestoreState(data []byte) error {
 	if pl.set.len() != 0 {
 		return fmt.Errorf("cache: pipeline %q: restore into a pipeline that has cached programs", pl.name)
 	}
-	var st pipelineState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	r, err := pipelineBlob.open(data)
+	var entries gobReader // the Entries elements, added after the stages
+	n := 0
+	var scorer, admission []byte
+	hasAdmission := false
+	for last := -1; err == nil && r.field(&last, 4); {
+		switch last {
+		case 0:
+			n = r.count()
+			start := r.off
+			for range n {
+				r.pair()
+			}
+			entries = gobReader{b: r.b[start:r.off]}
+		case 1:
+			scorer = r.bytes()
+		case 2:
+			admission = r.bytes()
+		case 3:
+			hasAdmission = r.uint() != 0
+		}
+	}
+	if err == nil {
+		err = r.end()
+	}
+	if err != nil {
 		return fmt.Errorf("cache: pipeline %q: decode state: %w", pl.name, err)
 	}
 	ss, ok := pl.scorer.(stageSnapshotter)
 	if !ok {
 		return fmt.Errorf("cache: pipeline %q: scorer %q does not support state restore", pl.name, pl.scorer.Name())
 	}
-	if err := ss.restoreStage(st.Scorer); err != nil {
+	if err := ss.restoreStage(scorer); err != nil {
 		return fmt.Errorf("cache: pipeline %q: scorer: %w", pl.name, err)
 	}
-	if st.HasAdmission {
+	if hasAdmission {
 		as, ok := pl.admission.(stageSnapshotter)
 		if !ok {
 			return fmt.Errorf("cache: pipeline %q: snapshot carries admission state but the stage cannot restore it", pl.name)
 		}
-		if err := as.restoreStage(st.Admission); err != nil {
+		if err := as.restoreStage(admission); err != nil {
 			return fmt.Errorf("cache: pipeline %q: admission: %w", pl.name, err)
 		}
 	}
-	for _, e := range st.Entries {
-		pl.set.add(e.Program, e.Score)
+	for range n {
+		p, score := entries.pair()
+		if pl.set.contains(trace.ProgramID(p)) {
+			return fmt.Errorf("cache: pipeline %q: program %d listed twice", pl.name, p)
+		}
+		pl.set.add(trace.ProgramID(p), int(score))
 	}
 	return nil
 }
@@ -217,17 +309,22 @@ func (pl *Pipeline) RestoreState(data []byte) error {
 // bytes (and the state digests over them) would depend on what else the
 // process had gob-encoded before. Encoding each wire type once at init
 // fixes the numbers. The order is the one a fresh LFU checkpoint first
-// used, which keeps the digests of earlier LFU runs.
+// used, which keeps the digests of earlier LFU runs. The hand-coded
+// blobs' type definitions are captured after that.
+var freqBlob, pipelineBlob gobBlob
+
 func init() {
 	for _, v := range []any{&frequencyScorerState{}, &pipelineState{}, &oracleScorerState{}, &recency2State{}, &secondTouchState{}} {
 		if err := gob.NewEncoder(io.Discard).Encode(v); err != nil {
 			panic(err)
 		}
 	}
+	freqBlob = captureBlob(&frequencyScorerState{})
+	pipelineBlob = captureBlob(&pipelineState{})
 }
 
-// encodeStage and decodeStage are the shared gob plumbing for stage
-// state blobs.
+// encodeStage and decodeStage are the shared gob plumbing for the
+// reflection-coded stage state blobs (oracle, LRU-2, second touch).
 func encodeStage(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -249,7 +346,9 @@ func (c *constantScorer) restoreStage([]byte) error      { return nil }
 // frequencyScorerState is the windowed-frequency scorer's wire form: the
 // clock and the pending expiry queue. Counts are not serialized — each
 // recorded access contributes exactly one pending expiry entry until it
-// decays, so the counts are rebuilt from the queue.
+// decays, so the counts are rebuilt from the queue. The blob is gob's
+// encoding of it, written from the live queue and read back into it by
+// hand (stateBody/appendState and restoreStage).
 type frequencyScorerState struct {
 	Now     time.Duration
 	Pending []frequencyAccessState
@@ -261,19 +360,49 @@ type frequencyAccessState struct {
 }
 
 func (f *frequencyScorer) snapshotStage() ([]byte, error) {
-	st := frequencyScorerState{Now: f.now}
-	for _, e := range f.expiry[f.head:] {
-		st.Pending = append(st.Pending, frequencyAccessState{Program: f.tab.program(e.key), At: e.at})
-	}
-	return encodeStage(&st)
+	body := f.stateBody()
+	return f.appendState(make([]byte, 0, freqBlob.size(body)), body), nil
 }
 
+func (f *frequencyScorer) stateBody() int {
+	fields := 0
+	if f.now != 0 {
+		fields += 1 + gobIntLen(int64(f.now))
+	}
+	if pending := f.expiry[f.head:]; len(pending) > 0 {
+		fields += 1 + gobUintLen(uint64(len(pending)))
+		for _, e := range pending {
+			fields += gobPairLen(int64(f.tab.program(e.key)), int64(e.at))
+		}
+	}
+	return freqBlob.msgBody(fields)
+}
+
+func (f *frequencyScorer) appendState(b []byte, body int) []byte {
+	b = freqBlob.begin(b, body)
+	last := -1
+	if f.now != 0 {
+		b = appendGobField(b, &last, 0)
+		b = appendGobInt(b, int64(f.now))
+	}
+	if pending := f.expiry[f.head:]; len(pending) > 0 {
+		b = appendGobField(b, &last, 1)
+		b = appendGobUint(b, uint64(len(pending)))
+		for _, e := range pending {
+			b = appendGobPair(b, int64(f.tab.program(e.key)), int64(e.at))
+		}
+	}
+	return append(b, 0)
+}
+
+// restoreStage replaces the scorer's clock and queue with the blob's,
+// counting each pending access as it is read.
 func (f *frequencyScorer) restoreStage(data []byte) error {
-	var st frequencyScorerState
-	if err := decodeStage(data, &st); err != nil {
+	r, err := freqBlob.open(data)
+	if err != nil {
 		return err
 	}
-	f.now = st.Now
+	f.now = 0
 	f.head = 0
 	f.expiry = f.expiry[:0]
 	for k, c := range f.counts {
@@ -282,13 +411,25 @@ func (f *frequencyScorer) restoreStage(data []byte) error {
 		}
 	}
 	clear(f.counts)
-	for _, a := range st.Pending {
-		k := f.tab.acquire(a.Program, holdCounted)
-		f.counts = GrowKeyed(f.counts, k)
-		f.counts[k]++
-		f.expiry = append(f.expiry, keyedExpiry{key: k, at: a.At})
+	for last := -1; r.field(&last, 2); {
+		if last == 0 {
+			f.now = time.Duration(r.int())
+			continue
+		}
+		n := r.count()
+		f.expiry = slices.Grow(f.expiry, n)
+		for range n {
+			p, at := r.pair()
+			if r.err != nil {
+				break
+			}
+			k := f.tab.acquire(trace.ProgramID(p), holdCounted)
+			f.counts = GrowKeyed(f.counts, k)
+			f.counts[k]++
+			f.expiry = append(f.expiry, keyedExpiry{key: k, at: time.Duration(at)})
+		}
 	}
-	return nil
+	return r.end()
 }
 
 // oracleScorerState is the future-window scorer's wire form: just the
@@ -367,6 +508,10 @@ func (r *recency2Scorer) restoreStage(data []byte) error {
 // sizeFrequencyScorer's only state is its inner frequency scorer.
 func (s *sizeFrequencyScorer) snapshotStage() ([]byte, error) { return s.freq.snapshotStage() }
 func (s *sizeFrequencyScorer) restoreStage(data []byte) error { return s.freq.restoreStage(data) }
+func (s *sizeFrequencyScorer) stateBody() int                 { return s.freq.stateBody() }
+func (s *sizeFrequencyScorer) appendState(b []byte, body int) []byte {
+	return s.freq.appendState(b, body)
+}
 
 // secondTouchState is the bypass-on-first-touch filter's wire form:
 // each requested program's touch count (1 or 2), in program order. Seen

@@ -232,9 +232,9 @@ func (is *IndexServer) ApplyPeerCapacities(caps []units.ByteSize) int {
 	// the central server until churn re-places them.
 	shed := false
 	if is.anyPeerOverCapacity() {
-		for _, k := range is.placedKeys() {
-			pp := &is.placement[k]
-			length := is.lengths(is.cache.Program(k))
+		for _, pk := range is.placedKeys(nil) {
+			pp := &is.placement[pk.key()]
+			length := is.lengths(pk.program())
 			for idx := range pp.segs() {
 				size := segment.SizeOf(length, idx)
 				copies := pp.copies(idx)

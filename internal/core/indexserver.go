@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"cablevod/internal/cache"
@@ -615,20 +615,26 @@ func (is *IndexServer) releasePlacement(k cache.Key) {
 	is.cache.Unpin(k)
 }
 
-// placedKeys returns the keys of every placed program, ordered by
-// program: keys are arrival-ordered, so anything that walks placements
-// for results or exported state walks them in program order.
-func (is *IndexServer) placedKeys() []cache.Key {
-	var keys []cache.Key
+// placedKey is a placed program's key packed below its program, so
+// keys sort by program as plain integers, with no lookup per comparison.
+type placedKey int64
+
+func (pk placedKey) key() cache.Key           { return cache.Key(uint32(pk)) }
+func (pk placedKey) program() trace.ProgramID { return trace.ProgramID(pk >> 32) }
+
+// placedKeys returns every placed program's key, ordered by program, in
+// buf's array when it has room: keys are arrival-ordered, so anything
+// that walks placements for results or exported state walks them in
+// program order.
+func (is *IndexServer) placedKeys(buf []placedKey) []placedKey {
+	buf = buf[:0]
 	for k := range is.placement {
 		if is.placement[k].replicas != 0 {
-			keys = append(keys, cache.Key(k))
+			buf = append(buf, placedKey(int64(is.cache.Program(cache.Key(k)))<<32|int64(k)))
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		return is.cache.Program(keys[i]) < is.cache.Program(keys[j])
-	})
-	return keys
+	slices.Sort(buf)
+	return buf
 }
 
 // PlacedSegments returns how many segments of p have at least one copy.

@@ -194,7 +194,10 @@ type PlacementState struct {
 
 // StateSink receives an engine state one part at a time: first the head
 // (the state with Shards nil) and the number of shards, then each shard
-// in neighborhood order. A sink must not modify the parts it is given.
+// in neighborhood order. A part is valid only during the call that hands
+// it over: Checkpoint reuses a shard's memory for the next shard's, and
+// shares the head's user list with the live engine. A sink must not
+// modify the parts it is given, nor keep them past the call.
 type StateSink interface {
 	Head(head *SystemState, shards int) error
 	Shard(sh *ShardState) error
@@ -218,16 +221,23 @@ func (st *SystemState) Stream(sink StateSink) error {
 
 // streamState exports the engine's live state to sink one shard at a
 // time: each shard is exported, handed to sink and dropped before the
-// next. ExportState and Checkpoint are built on it.
-func (s *System) streamState(sink StateSink) error {
+// next. ExportState and Checkpoint are built on it. With reuse, every
+// shard is exported into the memory of the one before, and the head
+// shares the engine's user list, so the parts are valid only during the
+// sink's calls; without it, the parts own their memory.
+func (s *System) streamState(sink StateSink, reuse bool) error {
 	if s.closed {
 		return fmt.Errorf("core: export of closed system")
 	}
 	s.flush()
+	users := s.users
+	if !reuse || len(users) == 0 {
+		users = append([]trace.UserID(nil), users...) // nil when empty, as always
+	}
 	head := &SystemState{
 		Version:     SnapshotVersion,
 		Config:      s.cfg,
-		Users:       append([]trace.UserID(nil), s.users...),
+		Users:       users,
 		Lengths:     s.lengthTable,
 		Future:      s.future,
 		Submitted:   s.submitted,
@@ -237,8 +247,12 @@ func (s *System) streamState(sink StateSink) error {
 	if err := sink.Head(head, len(s.shards)); err != nil {
 		return err
 	}
+	x := new(exportScratch)
 	for i, sh := range s.shards {
-		ss, err := sh.exportState()
+		if !reuse && i > 0 {
+			x = new(exportScratch)
+		}
+		ss, err := sh.exportState(x)
 		if err != nil {
 			return fmt.Errorf("core: neighborhood %d: %w", i, err)
 		}
@@ -258,7 +272,7 @@ func (s *System) streamState(sink StateSink) error {
 // live cross-neighborhood feed) fail with a descriptive error.
 func (s *System) ExportState() (*SystemState, error) {
 	var c stateCollector
-	if err := s.streamState(&c); err != nil {
+	if err := s.streamState(&c, false); err != nil {
 		return nil, err
 	}
 	return c.st, nil
@@ -279,7 +293,43 @@ func (c *stateCollector) Shard(sh *ShardState) error {
 	return nil
 }
 
-func (sh *shard) exportState() (ShardState, error) {
+// exportScratch is the memory a shard's export cuts its slices from,
+// plus the session index it dedupes sessions with. A fresh one gives a
+// shard memory of its own; one reused from shard to shard makes an
+// export's garbage that of a single shard.
+type exportScratch struct {
+	sessIdx    map[*session]int
+	events     []EventState
+	sessions   []SessionState
+	peers      []PeerState
+	entries    []cache.Entry
+	keys       []placedKey
+	placements []PlacementState
+	rows       [][]int
+	cells      []int
+}
+
+// reuseSlice returns s emptied with room for n elements: s's own array
+// when it has the room, else a new one, of exactly n when s had none
+// (a fresh scratch sizes a shard's slices exactly) and at least twice
+// s's capacity otherwise. It is never nil.
+func reuseSlice[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, 0, max(n, 2*cap(s)))
+	}
+	return s[:0]
+}
+
+// nilIfEmpty returns nil for an empty s: an exported slice of nothing
+// is nil, as the digest and the file have always carried it.
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
+}
+
+func (sh *shard) exportState(x *exportScratch) (ShardState, error) {
 	now, nextSeq, executed := sh.queue.State()
 	st := ShardState{
 		Neighborhood:  sh.nb.ID(),
@@ -298,20 +348,26 @@ func (sh *shard) exportState() (ShardState, error) {
 	// Pending events, with sessions deduplicated into a side table: a
 	// session's end event and its next segment event reference the same
 	// session value and must keep doing so after a restore.
-	sessIdx := make(map[*session]int)
+	if x.sessIdx == nil {
+		x.sessIdx = make(map[*session]int)
+	} else {
+		clear(x.sessIdx)
+	}
+	pending := sh.queue.Export()
+	events, sessions := reuseSlice(x.events, len(pending)), reuseSlice(x.sessions, 0)
 	ends := 0
-	for _, pe := range sh.queue.Export() {
+	for _, pe := range pending {
 		se, ok := pe.Ev.(*shardEvent)
 		if !ok {
 			return st, fmt.Errorf("unserializable event type %T on the queue", pe.Ev)
 		}
 		es := EventState{At: pe.At, Prio: int(pe.Prio), Seq: pe.Seq, Kind: uint8(se.kind), Session: -1, Peer: -1}
 		if se.sess != nil {
-			idx, seen := sessIdx[se.sess]
+			idx, seen := x.sessIdx[se.sess]
 			if !seen {
-				idx = len(st.Sessions)
-				sessIdx[se.sess] = idx
-				st.Sessions = append(st.Sessions, SessionState{Rec: se.sess.rec, FirstFetch: se.sess.firstFetch})
+				idx = len(sessions)
+				x.sessIdx[se.sess] = idx
+				sessions = append(sessions, SessionState{Rec: se.sess.rec, FirstFetch: se.sess.firstFetch})
 			}
 			es.Session = idx
 		}
@@ -321,8 +377,10 @@ func (sh *shard) exportState() (ShardState, error) {
 		if se.kind == evSessionEnd {
 			ends++
 		}
-		st.Events = append(st.Events, es)
+		events = append(events, es)
 	}
+	x.events, x.sessions = events, sessions
+	st.Events, st.Sessions = nilIfEmpty(events), nilIfEmpty(sessions)
 	// Every in-flight session is discoverable from its pending end event
 	// (segment events are only scheduled strictly before the session
 	// end), so the counts must agree.
@@ -330,22 +388,25 @@ func (sh *shard) exportState() (ShardState, error) {
 		return st, fmt.Errorf("engine invariant broken: %d pending session ends for %d active sessions", ends, sh.active)
 	}
 
+	peers := reuseSlice(x.peers, len(sh.nb.Peers()))
 	for _, peer := range sh.nb.Peers() {
-		st.Peers = append(st.Peers, PeerState{
+		peers = append(peers, PeerState{
 			Capacity: peer.StorageCapacity(),
 			Used:     peer.StorageUsed(),
 			Active:   peer.ActiveStreams(),
 		})
 	}
+	x.peers = peers
+	st.Peers = nilIfEmpty(peers)
 	coax := sh.nb.Coax()
 	st.Coax = CoaxState{Capacity: coax.Capacity(), Rate: coax.Rate(), Active: coax.Active(), Peak: coax.PeakRate()}
 
 	var err error
-	st.Index, err = sh.is.exportState()
+	st.Index, err = sh.is.exportState(x)
 	return st, err
 }
 
-func (is *IndexServer) exportState() (IndexState, error) {
+func (is *IndexServer) exportState(x *exportScratch) (IndexState, error) {
 	snap, ok := is.cache.Policy().(cache.Snapshottable)
 	if !ok {
 		return IndexState{}, fmt.Errorf("strategy policy %q does not support state snapshots", is.cache.Policy().Name())
@@ -354,38 +415,40 @@ func (is *IndexServer) exportState() (IndexState, error) {
 	if err != nil {
 		return IndexState{}, err
 	}
+	x.entries = is.cache.AppendEntries(reuseSlice(x.entries, is.cache.Len()))
 	st := IndexState{
-		Entries:    is.cache.Entries(),
+		Entries:    x.entries,
 		Policy:     policy,
 		Hits:       is.cache.Hits(),
 		Misses:     is.cache.Misses(),
 		Generation: is.generation,
 		FillCursor: is.fillCursor,
 	}
-	keys := is.placedKeys()
-	if len(keys) == 0 {
+	x.keys = is.placedKeys(x.keys)
+	if len(x.keys) == 0 {
 		return st, nil
 	}
 	// Every placement's Slots share two backing arrays, one of rows and
 	// one of copies, sized in a first pass. A segment without copies
 	// keeps a nil row.
 	segs, copies := 0, 0
-	for _, k := range keys {
-		pp := &is.placement[k]
+	for _, pk := range x.keys {
+		pp := &is.placement[pk.key()]
 		segs += pp.segs()
 		for idx := range pp.segs() {
 			copies += len(pp.copies(idx))
 		}
 	}
-	rows := make([][]int, segs)
-	cells := make([]int, copies)
-	st.Placements = make([]PlacementState, len(keys))
-	for i, k := range keys {
-		pp := &is.placement[k]
+	x.rows = reuseSlice(x.rows, segs)[:segs]
+	x.cells = reuseSlice(x.cells, copies)[:copies]
+	x.placements = reuseSlice(x.placements, len(x.keys))[:len(x.keys)]
+	rows, cells := x.rows, x.cells
+	for i, pk := range x.keys {
+		pp := &is.placement[pk.key()]
 		n := pp.segs()
-		ps := &st.Placements[i]
+		ps := &x.placements[i]
 		*ps = PlacementState{
-			Program:      is.cache.Program(k),
+			Program:      pk.program(),
 			Replicas:     int(pp.replicas),
 			Slots:        rows[:n:n],
 			RejectedSegs: int(pp.rejectedSegs),
@@ -396,6 +459,7 @@ func (is *IndexServer) exportState() (IndexState, error) {
 		for idx := range n {
 			c := pp.copies(idx)
 			if len(c) == 0 {
+				ps.Slots[idx] = nil
 				continue
 			}
 			row := cells[:len(c):len(c)]
@@ -406,6 +470,7 @@ func (is *IndexServer) exportState() (IndexState, error) {
 			ps.Slots[idx] = row
 		}
 	}
+	st.Placements = x.placements
 	return st, nil
 }
 

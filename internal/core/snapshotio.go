@@ -263,11 +263,13 @@ func SaveStateFile(path string, st *SystemState) error {
 // Checkpoint writes the live engine's state to path as
 // SaveStateFile(path, ExportState()) would, but exports, encodes and
 // drops one shard at a time, so no copy of the whole engine is ever
-// held. also receives every part too, after the file: a digest rides
+// held, and exports each shard into the memory of the one before, so a
+// call's garbage is about one shard's. also receives every part too,
+// after the file, valid only for that call (StateSink): a digest rides
 // the same pass.
 func (s *System) Checkpoint(path string, also StateSink) error {
 	return saveFile(path, func(w io.Writer) error {
-		return s.streamState(teeSink{&stateEncoder{w: w}, also})
+		return s.streamState(teeSink{&stateEncoder{w: w}, also}, true)
 	})
 }
 
@@ -293,7 +295,10 @@ func (t teeSink) Shard(sh *ShardState) error {
 }
 
 // saveFile writes path atomically: write fills a buffered temp file,
-// which is flushed, closed and renamed over path.
+// which is flushed, synced, closed and renamed over path. The sync
+// comes before the rename, so after a crash path holds the old file or
+// the whole new one, never a renamed file whose data was still in the
+// page cache.
 func saveFile(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".snapshot-*")
 	if err != nil {
@@ -306,6 +311,10 @@ func saveFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("core: save snapshot: %w", err)
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return fmt.Errorf("core: save snapshot: %w", err)
 	}

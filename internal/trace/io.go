@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -95,32 +96,44 @@ func parseCSVRow(row []string) (Record, error) {
 	if err != nil {
 		return Record{}, fmt.Errorf("program: %w", err)
 	}
-	start, err := strconv.ParseInt(row[2], 10, 64)
+	start, err := parseSeconds("start_sec", row[2])
 	if err != nil {
-		return Record{}, fmt.Errorf("start: %w", err)
+		return Record{}, err
 	}
-	dur, err := strconv.ParseInt(row[3], 10, 64)
+	dur, err := parseSeconds("duration_sec", row[3])
 	if err != nil {
-		return Record{}, fmt.Errorf("duration: %w", err)
+		return Record{}, err
 	}
-	var offset int64
+	var offset time.Duration
 	if len(row) > 4 {
-		offset, err = strconv.ParseInt(row[4], 10, 64)
-		if err != nil {
-			return Record{}, fmt.Errorf("offset: %w", err)
+		if offset, err = parseSeconds("offset_sec", row[4]); err != nil {
+			return Record{}, err
 		}
 	}
 	rec := Record{
 		User:     UserID(user),
 		Program:  ProgramID(prog),
-		Start:    time.Duration(start) * time.Second,
-		Duration: time.Duration(dur) * time.Second,
-		Offset:   time.Duration(offset) * time.Second,
+		Start:    start,
+		Duration: dur,
+		Offset:   offset,
 	}
 	if err := rec.Validate(); err != nil {
 		return Record{}, err
 	}
 	return rec, nil
+}
+
+// parseSeconds parses a column of whole seconds as a duration, which
+// must not overflow: time.Duration counts nanoseconds in an int64.
+func parseSeconds(column, s string) (time.Duration, error) {
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", column, err)
+	}
+	if v > math.MaxInt64/int64(time.Second) || v < math.MinInt64/int64(time.Second) {
+		return 0, fmt.Errorf("%s: %d seconds overflows a duration", column, v)
+	}
+	return time.Duration(v) * time.Second, nil
 }
 
 // gobTrace is the wire form for the gob format; it exists so the exported
@@ -141,14 +154,14 @@ func (t *Trace) WriteGob(w io.Writer) error {
 
 // ReadGob reads a gob-form trace.
 func ReadGob(r io.Reader) (*Trace, error) {
-	var gt gobTrace
+	// gob sizes a nil map by the count the input claims, so a few bytes
+	// could claim gigabytes; into a non-nil map it adds entries only as
+	// the input holds them.
+	gt := gobTrace{ProgramLengths: make(map[ProgramID]time.Duration)}
 	if err := gob.NewDecoder(r).Decode(&gt); err != nil {
 		return nil, fmt.Errorf("trace: decode gob: %w", err)
 	}
 	t := &Trace{Records: gt.Records, ProgramLengths: gt.ProgramLengths}
-	if t.ProgramLengths == nil {
-		t.ProgramLengths = make(map[ProgramID]time.Duration)
-	}
 	t.Sort()
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/gob"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -121,5 +123,75 @@ func TestSaveLoadFileGob(t *testing.T) {
 func TestLoadFileMissing(t *testing.T) {
 	if _, err := LoadFile("/nonexistent/trace.csv"); err == nil {
 		t.Error("expected error for missing file")
+	}
+}
+
+// TestCSVRejectsOverflowingSeconds: a seconds column whose nanoseconds
+// overflow int64 is an error naming the line and the column, not a
+// wrapped duration (18446744074 s used to load as 290.448384 ms).
+func TestCSVRejectsOverflowingSeconds(t *testing.T) {
+	header := "user,program,start_sec,duration_sec,offset_sec\n"
+	columns := []struct {
+		name string
+		row  func(v string) string
+	}{
+		{"start_sec", func(v string) string { return "1,2," + v + ",60,0" }},
+		{"duration_sec", func(v string) string { return "1,2,0," + v + ",0" }},
+		{"offset_sec", func(v string) string { return "1,2,0,60," + v }},
+	}
+	for _, col := range columns {
+		for _, v := range []string{"18446744074", "9223372037", "-9223372037", "-18446744073"} {
+			_, err := ReadCSV(strings.NewReader(header + "1,2,0,60,0\n" + col.row(v) + "\n"))
+			if err == nil {
+				t.Errorf("%s = %s loaded", col.name, v)
+				continue
+			}
+			if msg := err.Error(); !strings.Contains(msg, "line 3") || !strings.Contains(msg, col.name) {
+				t.Errorf("%s = %s: error %q does not name line 3 and the column", col.name, v, msg)
+			}
+		}
+	}
+	// The largest whole second a duration holds still loads.
+	tr, err := ReadCSV(strings.NewReader(header + "1,2,0,9223372036,0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tr.Records[0].Duration, 9223372036*time.Second; got != want {
+		t.Errorf("duration %v, want %v", got, want)
+	}
+}
+
+// TestReadGobBoundsHostileMapCount: a gob trace whose program-length
+// map claims 4M entries in a few bytes fails without gob allocating a
+// map of that size first.
+func TestReadGobBoundsHostileMapCount(t *testing.T) {
+	// Encoding the zero value twice on one encoder gives its value
+	// message alone the second time; what precedes it the first time
+	// is the type definitions.
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(gobTrace{}); err != nil {
+		t.Fatal(err)
+	}
+	first := buf.Len()
+	if err := enc.Encode(gobTrace{}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	zero := data[first:] // length, type id, terminator
+	typeID := zero[1 : len(zero)-1]
+	// Field 1 (ProgramLengths), a count of 1<<22, one entry (5: 7ns).
+	body := append(append([]byte{}, typeID...), 0x02, 0xfd, 0x40, 0x00, 0x00, 0x0a, 0x0e, 0x00)
+	hostile := append(append(append([]byte{}, data[:first-len(zero)]...), byte(len(body))), body...)
+
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	if _, err := ReadGob(bytes.NewReader(hostile)); err == nil {
+		t.Fatal("a trace claiming 4M program lengths in one entry loaded")
+	}
+	runtime.ReadMemStats(&ms)
+	if alloc := ms.TotalAlloc - before; alloc > 8<<20 {
+		t.Errorf("reading %d hostile bytes allocated %d MiB", len(hostile), alloc>>20)
 	}
 }

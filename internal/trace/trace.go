@@ -74,32 +74,30 @@ func (t *Trace) Append(r Record) {
 }
 
 // Sort orders records by (Start, User, Program) so playback and scaling are
-// deterministic.
-func (t *Trace) Sort() {
-	sort.Slice(t.Records, func(i, j int) bool {
-		a, b := t.Records[i], t.Records[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.User != b.User {
-			return a.User < b.User
-		}
-		return a.Program < b.Program
-	})
-}
+// deterministic. Records equal in all three keep the order pdqsort's
+// moves leave them in, and generated streams depend on it: sort.Sort
+// runs the same pdqsort code as sort.Slice with the same less function,
+// so both give the same order, full ties included.
+func (t *Trace) Sort() { sort.Sort(byKey(t.Records)) }
 
 // Sorted reports whether records are in (Start, User, Program) order.
-func (t *Trace) Sorted() bool {
-	return sort.SliceIsSorted(t.Records, func(i, j int) bool {
-		a, b := t.Records[i], t.Records[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.User != b.User {
-			return a.User < b.User
-		}
-		return a.Program < b.Program
-	})
+func (t *Trace) Sorted() bool { return sort.IsSorted(byKey(t.Records)) }
+
+// byKey orders records by (Start, User, Program).
+type byKey []Record
+
+func (s byKey) Len() int      { return len(s) }
+func (s byKey) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+
+func (s byKey) Less(i, j int) bool {
+	a, b := &s[i], &s[j]
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	if a.User != b.User {
+		return a.User < b.User
+	}
+	return a.Program < b.Program
 }
 
 // Validate checks every record and that the trace is sorted.

@@ -23,15 +23,15 @@ import (
 // how many checkpoint/resume legs each run was split into.
 //
 // The canonical form is the JSON text json.NewEncoder(h).Encode writes
-// for the state: maps in sorted key order, unlike gob, whose map
-// encoding follows Go's randomized iteration — which is why comparing
-// raw snapshot files would produce false mismatches. The digest writer
-// emits exactly those bytes, but it writes the bulk rows (users,
-// lengths, events, sessions, peers, entries, placements) by hand and
-// hands the hash its text in chunks of about 32 KB, so it never holds
-// the state's JSON text; json.Encoder would build all of it in one
-// buffer first. LongRun's checkpoint feeds the same writer from the live
-// engine, one shard at a time (see core.System.Checkpoint).
+// for the state, maps in sorted key order. The state file is canonical
+// too, but it keeps Config.Parallelism and the workload tail, which the
+// digest drops, so equivalent runs may write different files. The
+// digest writer emits exactly those JSON bytes, but it writes the bulk
+// rows (users, lengths, events, sessions, peers, entries, placements)
+// by hand and hands the hash its text in chunks of about 32 KB, so it
+// never holds the state's JSON text; json.Encoder would build all of it
+// in one buffer first. LongRun's checkpoint feeds the same writer from
+// the live engine, one shard at a time (see core.System.Checkpoint).
 func StateDigest(st *core.SystemState) (string, error) {
 	return newDigester(sha256.New()).state(st)
 }

@@ -265,8 +265,8 @@ func loadMeta(path string) (runMeta, bool, error) {
 	return m, true, nil
 }
 
-// saveMeta writes the ledger atomically (temp file + rename), matching
-// the snapshot writer's crash discipline.
+// saveMeta writes the ledger atomically (temp file, sync, rename),
+// matching the snapshot writer's crash discipline.
 func saveMeta(path string, m runMeta) error {
 	b, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -277,6 +277,11 @@ func saveMeta(path string, m runMeta) error {
 		return fmt.Errorf("universe: save run ledger: %w", err)
 	}
 	if _, err := tmp.Write(append(b, '\n')); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("universe: save run ledger: %w", err)
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("universe: save run ledger: %w", err)
