@@ -23,6 +23,8 @@ import (
 type strategyGoldenRow struct {
 	strategy   string
 	lag        time.Duration // Config.GlobalLag
+	lookahead  time.Duration // Config.OracleLookahead
+	noHistory  bool          // Config.NoHistory
 	fill       FillMode
 	seed       uint64
 	counters   Counters
@@ -31,9 +33,9 @@ type strategyGoldenRow struct {
 	sha256     string
 }
 
-// strategyGolden holds one row per built-in strategy (plus global-lfu
-// on a 30-minute publication lag), fill mode and seed. Every row
-// evicts, so each pins a victim order and not only admissions.
+// strategyGolden holds one row per strategy variant (see
+// strategyGoldenVariants), fill mode and seed. Every row evicts, so
+// each pins a victim order and not only admissions.
 var strategyGolden = []strategyGoldenRow{
 	{strategy: "lru", fill: FillImmediate, seed: 1, counters: Counters{Sessions: 2570, SegmentRequests: 10344, Hits: 7298, MissNotCached: 0, MissUnplaced: 288, MissPeerBusy: 39, MissFirstFetch: 2719, Fills: 0, CoaxOverloads: 0, Admissions: 679, Evictions: 520}, serverBits: 6514011400000, demandBits: 22024844660000, sha256: "00cc60dd97086c5589708e3680d548d33ffaacfb6922305fd94614c44ec1db2a"},
 	{strategy: "lru", fill: FillImmediate, seed: 2, counters: Counters{Sessions: 2169, SegmentRequests: 8245, Hits: 5858, MissNotCached: 0, MissUnplaced: 123, MissPeerBusy: 30, MissFirstFetch: 2234, Fills: 0, CoaxOverloads: 0, Admissions: 566, Evictions: 406}, serverBits: 5088455320000, demandBits: 17492609940000, sha256: "9034c526f3abbfafea31dc2269e998c03bbf3183ab76b834d03588e86c048dd5"},
@@ -67,11 +69,44 @@ var strategyGolden = []strategyGoldenRow{
 	{strategy: "prefix-lfu", fill: FillImmediate, seed: 2, counters: Counters{Sessions: 2169, SegmentRequests: 8245, Hits: 4267, MissNotCached: 4, MissUnplaced: 14, MissPeerBusy: 36, MissFirstFetch: 3924, Fills: 0, CoaxOverloads: 0, Admissions: 1028, Evictions: 94}, serverBits: 8460050040000, demandBits: 17492609940000, sha256: "178240840c533a5cb095335f4b61616f24bfe8822868049b985dd91a201266d8"},
 	{strategy: "prefix-lfu", fill: FillOnBroadcast, seed: 1, counters: Counters{Sessions: 2570, SegmentRequests: 10344, Hits: 4675, MissNotCached: 111, MissUnplaced: 5531, MissPeerBusy: 27, MissFirstFetch: 0, Fills: 2825, CoaxOverloads: 0, Admissions: 1138, Evictions: 212}, serverBits: 12192789180000, demandBits: 22024844660000, sha256: "1aa1206c652fe3c79ddf840653861cff626eb1f1d4613134ba622012ce57fa44"},
 	{strategy: "prefix-lfu", fill: FillOnBroadcast, seed: 2, counters: Counters{Sessions: 2169, SegmentRequests: 8245, Hits: 3456, MissNotCached: 14, MissUnplaced: 4755, MissPeerBusy: 20, MissFirstFetch: 0, Fills: 2323, CoaxOverloads: 0, Admissions: 1028, Evictions: 94}, serverBits: 10255568180000, demandBits: 17492609940000, sha256: "3f0bcd1d8b1aef9ef7af90964cca9d776b00224de552bc5c3d0877a69b2f27bb"},
+	{strategy: "lfu", noHistory: true, fill: FillImmediate, seed: 1, counters: Counters{Sessions: 2570, SegmentRequests: 10344, Hits: 7298, MissNotCached: 0, MissUnplaced: 288, MissPeerBusy: 39, MissFirstFetch: 2719, Fills: 0, CoaxOverloads: 0, Admissions: 679, Evictions: 520}, serverBits: 6514011400000, demandBits: 22024844660000, sha256: "92092dccfd6039e9a7b363460bb3381b8a0c145f965302d45ec8f9a8e47f99c8"},
+	{strategy: "lfu", noHistory: true, fill: FillImmediate, seed: 2, counters: Counters{Sessions: 2169, SegmentRequests: 8245, Hits: 5858, MissNotCached: 0, MissUnplaced: 123, MissPeerBusy: 30, MissFirstFetch: 2234, Fills: 0, CoaxOverloads: 0, Admissions: 566, Evictions: 406}, serverBits: 5088455320000, demandBits: 17492609940000, sha256: "9cbe4b26ee3581d828c5da081fe3ed7c4e161339f075bebd07ceddd3ecea9d7d"},
+	{strategy: "lfu", noHistory: true, fill: FillOnBroadcast, seed: 1, counters: Counters{Sessions: 2570, SegmentRequests: 10344, Hits: 5816, MissNotCached: 0, MissUnplaced: 4505, MissPeerBusy: 23, MissFirstFetch: 0, Fills: 3656, CoaxOverloads: 0, Admissions: 679, Evictions: 520}, serverBits: 9817700620000, demandBits: 22024844660000, sha256: "892d3fa1831f48e8104dcdaf263c73762ad3fea961b917e38c5fe453286dee42"},
+	{strategy: "lfu", noHistory: true, fill: FillOnBroadcast, seed: 2, counters: Counters{Sessions: 2169, SegmentRequests: 8245, Hits: 4620, MissNotCached: 0, MissUnplaced: 3589, MissPeerBusy: 36, MissFirstFetch: 0, Fills: 2881, CoaxOverloads: 0, Admissions: 566, Evictions: 406}, serverBits: 7849239060000, demandBits: 17492609940000, sha256: "0054cca2862da39847a09725044ed7c9444b44932a3b2e62614fd9a9ebb0147e"},
+	{strategy: "oracle", lookahead: 24 * time.Hour, fill: FillImmediate, seed: 1, counters: Counters{Sessions: 2570, SegmentRequests: 10344, Hits: 8070, MissNotCached: 156, MissUnplaced: 376, MissPeerBusy: 48, MissFirstFetch: 1694, Fills: 0, CoaxOverloads: 0, Admissions: 418, Evictions: 259}, serverBits: 4932518500000, demandBits: 22024844660000, sha256: "3351ee91fa09028392082c5f3e8981121d35f0fdc7c4656c964848b924a65308"},
+	{strategy: "oracle", lookahead: 24 * time.Hour, fill: FillImmediate, seed: 2, counters: Counters{Sessions: 2169, SegmentRequests: 8245, Hits: 6393, MissNotCached: 1, MissUnplaced: 241, MissPeerBusy: 34, MissFirstFetch: 1576, Fills: 0, CoaxOverloads: 0, Admissions: 387, Evictions: 227}, serverBits: 3977819560000, demandBits: 17492609940000, sha256: "c97e09f5723c48dbb36ab8d990a14f92c8400697ac29459dd091dae42911635b"},
+	{strategy: "oracle", lookahead: 24 * time.Hour, fill: FillOnBroadcast, seed: 1, counters: Counters{Sessions: 2570, SegmentRequests: 10344, Hits: 6619, MissNotCached: 177, MissUnplaced: 3516, MissPeerBusy: 32, MissFirstFetch: 0, Fills: 2910, CoaxOverloads: 0, Admissions: 418, Evictions: 259}, serverBits: 8178747980000, demandBits: 22024844660000, sha256: "c3331c70ba368f0c8781455783de4fbd553356954e525ad0ac3d4589f339ff8d"},
+	{strategy: "oracle", lookahead: 24 * time.Hour, fill: FillOnBroadcast, seed: 2, counters: Counters{Sessions: 2169, SegmentRequests: 8245, Hits: 5174, MissNotCached: 13, MissUnplaced: 3024, MissPeerBusy: 34, MissFirstFetch: 0, Fills: 2464, CoaxOverloads: 0, Admissions: 387, Evictions: 227}, serverBits: 6696393080000, demandBits: 17492609940000, sha256: "37192a3453bdc53f0193d6baee945e68e20ffc0b6c31d9448364f3b83f99caf0"},
+}
+
+// strategyGoldenVariants are the strategy settings the golden covers:
+// the seven built-ins at their defaults, plus three settings the
+// defaults leave unexercised on the 3-day test trace.
+//   - global-lfu on a 30-minute publication lag (Fig. 13).
+//   - lfu with no history, Fig. 11's leftmost point. At any positive
+//     history a request always raises the requested program's count,
+//     which already makes it most recently used, so the tiebreak
+//     matters only here.
+//   - oracle on a 1-day lookahead. The default 3-day window covers the
+//     whole trace from the first request, so only a shorter one slides
+//     accesses into the window while the run is on.
+var strategyGoldenVariants = []strategyGoldenRow{
+	{strategy: "lru"}, {strategy: "lfu"}, {strategy: "oracle"}, {strategy: "global-lfu"},
+	{strategy: "gdsf"}, {strategy: "lru-2"}, {strategy: "prefix-lfu"},
+	{strategy: "global-lfu", lag: 30 * time.Minute},
+	{strategy: "lfu", noHistory: true},
+	{strategy: "oracle", lookahead: 24 * time.Hour},
 }
 
 // key is the row's identity: what it runs, not what it measured.
 func (r strategyGoldenRow) key() strategyGoldenRow {
-	return strategyGoldenRow{strategy: r.strategy, lag: r.lag, fill: r.fill, seed: r.seed}
+	return strategyGoldenRow{strategy: r.strategy, lag: r.lag, lookahead: r.lookahead, noHistory: r.noHistory, fill: r.fill, seed: r.seed}
+}
+
+// name spells out the row's identity for messages.
+func (r strategyGoldenRow) name() string {
+	return fmt.Sprintf("%s lag %v lookahead %v noHistory %v, %v, seed %d",
+		r.strategy, r.lag, r.lookahead, r.noHistory, r.fill, r.seed)
 }
 
 // measure fills the row's outcome fields from a closed Result.
@@ -98,45 +133,47 @@ func (r strategyGoldenRow) String() string {
 		}
 		fmt.Fprintf(&c, "%s: %d", v.Type().Field(i).Name, v.Field(i).Uint())
 	}
-	lag := ""
+	variant := ""
 	if r.lag != 0 {
-		lag = fmt.Sprintf("lag: %d * time.Minute, ", r.lag/time.Minute)
+		variant += fmt.Sprintf("lag: %d * time.Minute, ", r.lag/time.Minute)
+	}
+	if r.lookahead != 0 {
+		variant += fmt.Sprintf("lookahead: %d * time.Hour, ", r.lookahead/time.Hour)
+	}
+	if r.noHistory {
+		variant += "noHistory: true, "
 	}
 	fill := map[FillMode]string{FillImmediate: "FillImmediate", FillOnBroadcast: "FillOnBroadcast"}[r.fill]
 	return fmt.Sprintf("{strategy: %q, %sfill: %s, seed: %d, counters: Counters{%s}, serverBits: %d, demandBits: %d, sha256: %q},",
-		r.strategy, lag, fill, r.seed, c.String(), r.serverBits, r.demandBits, r.sha256)
+		r.strategy, variant, fill, r.seed, c.String(), r.serverBits, r.demandBits, r.sha256)
 }
 
 // TestStrategyGolden pins the behaviour of every built-in strategy: each
 // golden row must come out of the batch Run and of chunked SubmitBatch
 // ingest with mid-flight Snapshots, at parallelism 1, 4 and GOMAXPROCS.
-// The table must hold exactly one row per strategy, fill mode and seed,
+// The table must hold exactly one row per variant, fill mode and seed,
 // and every row must evict.
 func TestStrategyGolden(t *testing.T) {
-	strategies := []strategyGoldenRow{
-		{strategy: "lru"}, {strategy: "lfu"}, {strategy: "oracle"}, {strategy: "global-lfu"},
-		{strategy: "global-lfu", lag: 30 * time.Minute},
-		{strategy: "gdsf"}, {strategy: "lru-2"}, {strategy: "prefix-lfu"},
-	}
 	missing := make(map[strategyGoldenRow]bool)
-	for _, s := range strategies {
+	for _, v := range strategyGoldenVariants {
 		for _, fill := range []FillMode{FillImmediate, FillOnBroadcast} {
 			for seed := uint64(1); seed <= 2; seed++ {
-				missing[strategyGoldenRow{strategy: s.strategy, lag: s.lag, fill: fill, seed: seed}] = true
+				v.fill, v.seed = fill, seed
+				missing[v] = true
 			}
 		}
 	}
 	for _, row := range strategyGolden {
 		if !missing[row.key()] {
-			t.Errorf("golden row %s/%v/%v seed %d is a duplicate or outside the grid", row.strategy, row.lag, row.fill, row.seed)
+			t.Errorf("golden row %s is a duplicate or outside the grid", row.name())
 		}
 		delete(missing, row.key())
 		if row.counters.Evictions == 0 {
-			t.Errorf("golden row %s/%v/%v seed %d evicts nothing", row.strategy, row.lag, row.fill, row.seed)
+			t.Errorf("golden row %s evicts nothing", row.name())
 		}
 	}
 	for row := range missing {
-		t.Errorf("no golden row for %s/%v/%v seed %d", row.strategy, row.lag, row.fill, row.seed)
+		t.Errorf("no golden row for %s", row.name())
 	}
 
 	levels := []int{1, 4, runtime.GOMAXPROCS(0)}
@@ -151,9 +188,11 @@ func TestStrategyGolden(t *testing.T) {
 			cfg := shardTestConfig(0, want.fill, par)
 			cfg.StrategyName = want.strategy
 			cfg.GlobalLag = want.lag
+			cfg.OracleLookahead = want.lookahead
+			cfg.NoHistory = want.noHistory
 			res, err := Run(cfg, tr)
 			if err != nil {
-				t.Fatalf("%s/%v/%v seed %d par %d: %v", want.strategy, want.lag, want.fill, want.seed, par, err)
+				t.Fatalf("%s at parallelism %d: %v", want.name(), par, err)
 			}
 			for _, run := range []struct {
 				path string
