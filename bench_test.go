@@ -280,13 +280,26 @@ func benchPolicy(b *testing.B, mk func() cache.Policy) {
 	}
 }
 
+// BenchmarkCacheLRU and BenchmarkCacheLFU drive the lru and lfu
+// strategies' pipelines (constant and windowed-frequency scorers under
+// the LRU tiebreak) through the Cache directly.
 func BenchmarkCacheLRU(b *testing.B) {
-	benchPolicy(b, func() cache.Policy { return cache.NewLRU() })
+	benchPolicy(b, func() cache.Policy {
+		p, err := cache.NewPipeline(cache.PipelineConfig{Name: "lru", Scorer: cache.NewConstantScorer("recency-only", 0)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	})
 }
 
 func BenchmarkCacheLFU(b *testing.B) {
 	benchPolicy(b, func() cache.Policy {
-		p, err := cache.NewLFU(24 * time.Hour)
+		sc, err := cache.NewFrequencyScorer(24 * time.Hour)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := cache.NewPipeline(cache.PipelineConfig{Name: "lfu", Scorer: sc})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -421,65 +434,5 @@ func BenchmarkSubmitWithTelemetry(b *testing.B) {
 	if b.N >= 2 && overhead > 5 {
 		b.Errorf("telemetry collector overhead %.1f%% exceeds the 5%% budget (best of %d interleaved pairs)",
 			overhead, b.N)
-	}
-}
-
-// registerFusedLFUBench registers the fused v1 LFU under a bench-only
-// name, once per test binary, as the baseline for the pipeline-adapter
-// overhead budget.
-var registerFusedLFUBench = sync.OnceValue(func() error {
-	return core.RegisterStrategyTraits("lfu-v1-bench",
-		func(env *core.PolicyEnv) (func(int) (cache.Policy, error), error) {
-			history := env.Config.LFUHistory
-			return func(int) (cache.Policy, error) { return cache.NewLFU(history) }, nil
-		}, core.StrategyTraits{ShardIndependent: true})
-})
-
-// BenchmarkPipelineOverhead is the Policy API v2 performance budget:
-// the pipeline-composed lfu against the fused v1 LFU on the QuickScale
-// engine run, interleaved A/B per iteration. With at least two
-// iterations (-benchtime 2x or more, so one-shot scheduler noise cannot
-// decide it), the adapter must stay within 5% of the fused policy.
-func BenchmarkPipelineOverhead(b *testing.B) {
-	if err := registerFusedLFUBench(); err != nil {
-		b.Fatal(err)
-	}
-	tr := engineBenchTrace(b, "quick", experiments.QuickScale())
-	cfg := Config{
-		NeighborhoodSize: 1000,
-		PerPeerStorage:   10 * GB,
-		WarmupDays:       experiments.QuickScale().WarmupDays,
-		Parallelism:      1,
-	}
-	run := func(name string) time.Duration {
-		c := cfg
-		c.StrategyName = name
-		start := time.Now()
-		if _, err := Run(c, tr); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	// Interleaved A/B, judged on each side's minimum: scheduler noise
-	// on a shared runner only ever adds time, so the fastest observed
-	// run of each engine is the noise-robust estimate of its true cost.
-	fused := make([]time.Duration, 0, b.N)
-	piped := make([]time.Duration, 0, b.N)
-	var pipelined time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fused = append(fused, run("lfu-v1-bench"))
-		p := run("lfu")
-		piped = append(piped, p)
-		pipelined += p
-	}
-	sort.Slice(fused, func(i, j int) bool { return fused[i] < fused[j] })
-	sort.Slice(piped, func(i, j int) bool { return piped[i] < piped[j] })
-	overhead := 100 * (float64(piped[0]) - float64(fused[0])) / float64(fused[0])
-	b.ReportMetric(overhead, "overhead-%")
-	b.ReportMetric(float64(len(tr.Records))*float64(b.N)/pipelined.Seconds(), "records/s")
-	if b.N >= 2 && overhead > 5 {
-		b.Errorf("pipeline adapter overhead %.1f%% exceeds the 5%% budget (fastest fused %v vs fastest pipeline %v over %d interleaved pairs)",
-			overhead, fused[0], piped[0], b.N)
 	}
 }

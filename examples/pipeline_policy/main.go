@@ -59,7 +59,7 @@ func main() {
 		WarmupDays:       2,
 	}
 
-	// Head to head against the fused incumbents over the same trace.
+	// Head to head against the built-in lfu and lru over the same trace.
 	for _, name := range []string{"lfu-2touch", "lfu", "lru"} {
 		run := cfg
 		run.StrategyName = name

@@ -6,17 +6,17 @@ import (
 	"cablevod/internal/trace"
 )
 
-// bucketSet is the O(1) frequency-bucket structure underlying the LFU,
-// Oracle and global-LFU policies: a doubly-linked list of count buckets in
-// ascending order, each holding a recency-ordered doubly-linked list of
-// cached programs (front = least recently used). Victim order is therefore
+// bucketSet is the O(1) frequency-bucket structure a Pipeline keeps its
+// victim order in: a doubly-linked list of count buckets in ascending
+// order, each holding a recency-ordered doubly-linked list of cached
+// programs (front = least recently used). Victim order is therefore
 // (count ascending, recency ascending) — LFU with LRU tie-break, exactly
 // the paper's rule.
 //
-// Entries are indexed by program-table key. A pipeline's set shares the
+// Entries are indexed by program-table key. The set shares its
 // pipeline's table, so the request path reaches an entry by the key it
-// already resolved; the fused policies give their set a private table
-// and use the ProgramID-keyed methods.
+// already resolved; the ProgramID-keyed methods serve score sinks and
+// state restore.
 type bucketSet struct {
 	tab   *programTable
 	first *bucket
@@ -41,9 +41,6 @@ type entryNode struct {
 	bucket     *bucket
 	prev, next *entryNode
 }
-
-// newBucketSet returns an empty set keyed by a private program table.
-func newBucketSet() *bucketSet { return newBucketSetOn(newProgramTable()) }
 
 // newBucketSetOn returns an empty set keyed by tab.
 func newBucketSetOn(tab *programTable) *bucketSet { return &bucketSet{tab: tab} }
@@ -72,10 +69,6 @@ func (s *bucketSet) mustNode(p trace.ProgramID) *entryNode {
 	return n
 }
 
-// count returns the bucket count of a tracked program; it panics for
-// untracked programs (callers check contains first).
-func (s *bucketSet) count(p trace.ProgramID) int { return s.mustNode(p).bucket.count }
-
 // add starts tracking p with the given count, as most recently used within
 // its bucket. Adding a tracked program panics.
 func (s *bucketSet) add(p trace.ProgramID, count int) { s.addKey(s.tab.lookup(p), p, count) }
@@ -93,9 +86,6 @@ func (s *bucketSet) addKey(k Key, p trace.ProgramID, count int) {
 	s.place(n, count, nil, s.first, true)
 }
 
-// remove stops tracking p. Removing an untracked program panics.
-func (s *bucketSet) remove(p trace.ProgramID) { s.removeNode(s.mustNode(p)) }
-
 // removeNode stops tracking an entry and releases its key.
 func (s *bucketSet) removeNode(n *entryNode) {
 	s.detach(n)
@@ -105,10 +95,8 @@ func (s *bucketSet) removeNode(n *entryNode) {
 	s.freeNode(n)
 }
 
-// touch marks p most recently used within its current bucket.
-func (s *bucketSet) touch(p trace.ProgramID) { s.touchNode(s.mustNode(p)) }
-
-// touchNode is touch on an already-resolved entry.
+// touchNode marks an entry most recently used within its current
+// bucket.
 func (s *bucketSet) touchNode(n *entryNode) {
 	b := n.bucket
 	if b.tail == n {
@@ -147,14 +135,6 @@ func (s *bucketSet) setCountNode(n *entryNode, count int) {
 	}
 	s.detach(n)
 	s.place(n, count, lo, hi, up)
-}
-
-// min returns the victim-ordered first program and its count.
-func (s *bucketSet) min() (trace.ProgramID, int, bool) {
-	if s.first == nil {
-		return 0, 0, false
-	}
-	return s.first.head.program, s.first.count, true
 }
 
 // ascend calls yield for every tracked program in victim order (count

@@ -7,6 +7,10 @@ import (
 	"cablevod/internal/trace"
 )
 
+// The tests drive the set the way a Pipeline does: entries resolved
+// once, then moved with the keyed methods (touchNode, setCountNode,
+// removeNode).
+
 func collect(s *bucketSet) []trace.ProgramID {
 	var out []trace.ProgramID
 	s.ascend(func(p trace.ProgramID, _ int) bool {
@@ -29,7 +33,7 @@ func idsEqual(a, b []trace.ProgramID) bool {
 }
 
 func TestBucketSetAddAndOrder(t *testing.T) {
-	s := newBucketSet()
+	s := newBucketSetOn(newProgramTable())
 	s.add(1, 5)
 	s.add(2, 1)
 	s.add(3, 3)
@@ -39,17 +43,14 @@ func TestBucketSetAddAndOrder(t *testing.T) {
 	if !idsEqual(got, want) {
 		t.Errorf("victim order = %v, want %v", got, want)
 	}
-	if p, c, ok := s.min(); !ok || p != 2 || c != 1 {
-		t.Errorf("min() = (%d, %d, %v), want (2, 1, true)", p, c, ok)
-	}
 }
 
 func TestBucketSetTouch(t *testing.T) {
-	s := newBucketSet()
+	s := newBucketSetOn(newProgramTable())
 	s.add(1, 0)
 	s.add(2, 0)
 	s.add(3, 0)
-	s.touch(1) // 1 becomes most recent
+	s.touchNode(s.mustNode(1)) // 1 becomes most recent
 	got := collect(s)
 	want := []trace.ProgramID{2, 3, 1}
 	if !idsEqual(got, want) {
@@ -58,7 +59,7 @@ func TestBucketSetTouch(t *testing.T) {
 }
 
 func TestBucketSetSetCountUpAndDown(t *testing.T) {
-	s := newBucketSet()
+	s := newBucketSetOn(newProgramTable())
 	s.add(1, 2)
 	s.add(2, 2)
 	s.add(3, 2)
@@ -69,13 +70,13 @@ func TestBucketSetSetCountUpAndDown(t *testing.T) {
 	if !idsEqual(got, want) {
 		t.Errorf("order = %v, want %v", got, want)
 	}
-	if s.count(2) != 5 || s.count(3) != 1 {
-		t.Errorf("counts = %d, %d", s.count(2), s.count(3))
+	if c2, c3 := s.mustNode(2).bucket.count, s.mustNode(3).bucket.count; c2 != 5 || c3 != 1 {
+		t.Errorf("counts = %d, %d", c2, c3)
 	}
 }
 
 func TestBucketSetDecayedEntryIsLRUWithinBucket(t *testing.T) {
-	s := newBucketSet()
+	s := newBucketSetOn(newProgramTable())
 	s.add(1, 1)
 	s.add(2, 2)
 	// 2 decays into 1's bucket: decays go to the LRU side.
@@ -88,33 +89,33 @@ func TestBucketSetDecayedEntryIsLRUWithinBucket(t *testing.T) {
 }
 
 func TestBucketSetRemove(t *testing.T) {
-	s := newBucketSet()
+	s := newBucketSetOn(newProgramTable())
 	s.add(1, 1)
 	s.add(2, 2)
-	s.remove(1)
+	s.removeNode(s.mustNode(1))
 	if s.contains(1) {
 		t.Error("removed program still tracked")
 	}
 	if s.len() != 1 {
 		t.Errorf("len = %d, want 1", s.len())
 	}
-	if p, _, ok := s.min(); !ok || p != 2 {
-		t.Errorf("min after remove = %d", p)
+	if got := collect(s); !idsEqual(got, []trace.ProgramID{2}) {
+		t.Errorf("order after remove = %v, want [2]", got)
 	}
-	s.remove(2)
-	if _, _, ok := s.min(); ok {
-		t.Error("min on empty set should report !ok")
+	s.removeNode(s.mustNode(2))
+	if s.len() != 0 || s.first != nil {
+		t.Errorf("emptied set keeps %d entries", s.len())
+	}
+	if s.tab.lookup(1) != NoKey || s.tab.lookup(2) != NoKey {
+		t.Error("removed programs still hold keys")
 	}
 }
 
 func TestBucketSetPanics(t *testing.T) {
-	s := newBucketSet()
+	s := newBucketSetOn(newProgramTable())
 	s.add(1, 0)
 	for name, f := range map[string]func(){
 		"double add":       func() { s.add(1, 0) },
-		"remove unknown":   func() { s.remove(9) },
-		"touch unknown":    func() { s.touch(9) },
-		"count unknown":    func() { s.count(9) },
 		"setCount unknown": func() { s.setCount(9, 1) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -129,7 +130,7 @@ func TestBucketSetPanics(t *testing.T) {
 }
 
 func TestBucketSetAscendEarlyStop(t *testing.T) {
-	s := newBucketSet()
+	s := newBucketSetOn(newProgramTable())
 	for i := trace.ProgramID(1); i <= 10; i++ {
 		s.add(i, int(i))
 	}
@@ -152,7 +153,7 @@ func TestBucketSetOrderInvariant(t *testing.T) {
 		Count uint8
 	}
 	f := func(ops []op) bool {
-		s := newBucketSet()
+		s := newBucketSetOn(newProgramTable())
 		tracked := map[trace.ProgramID]bool{}
 		for _, o := range ops {
 			p := trace.ProgramID(o.P % 16)
@@ -164,12 +165,12 @@ func TestBucketSetOrderInvariant(t *testing.T) {
 				}
 			case 1:
 				if tracked[p] {
-					s.remove(p)
+					s.removeNode(s.mustNode(p))
 					delete(tracked, p)
 				}
 			case 2:
 				if tracked[p] {
-					s.touch(p)
+					s.touchNode(s.mustNode(p))
 				}
 			case 3:
 				if tracked[p] {
@@ -261,7 +262,7 @@ func TestBucketSetMatchesModel(t *testing.T) {
 	}
 	var stepMoves, jumpMoves, emptiedSource, ontoExisting int
 	f := func(ops []op) bool {
-		s := newBucketSet()
+		s := newBucketSetOn(newProgramTable())
 		var m bucketModel
 		for _, o := range ops {
 			p := trace.ProgramID(o.P % 12)
@@ -275,12 +276,12 @@ func TestBucketSetMatchesModel(t *testing.T) {
 				}
 			case 1: // remove
 				if i >= 0 {
-					s.remove(p)
+					s.removeNode(s.mustNode(p))
 					m = m.remove(i)
 				}
 			case 2: // touch
 				if i >= 0 {
-					s.touch(p)
+					s.touchNode(s.mustNode(p))
 					c := m[i].c
 					m = m.remove(i).insert(p, c, true)
 				}
@@ -326,7 +327,7 @@ func TestBucketSetMatchesModel(t *testing.T) {
 						ontoExisting++
 					}
 				}
-				s.setCount(p, c)
+				s.setCountNode(s.mustNode(p), c)
 				if c != old {
 					m = m.remove(i).insert(p, c, c > old)
 				}
@@ -347,8 +348,8 @@ func TestBucketSetMatchesModel(t *testing.T) {
 	}
 }
 
-// bucketSetEquals compares the set's full victim order, size, minimum
-// and per-program counts against the model.
+// bucketSetEquals compares the set's full victim order, size and
+// per-program counts against the model.
 func bucketSetEquals(s *bucketSet, m bucketModel) bool {
 	if s.len() != len(m) {
 		return false
@@ -366,12 +367,8 @@ func bucketSetEquals(s *bucketSet, m bucketModel) bool {
 	if !ok || i != len(m) {
 		return false
 	}
-	p, c, found := s.min()
-	if found != (len(m) > 0) || (found && (p != m[0].p || c != m[0].c)) {
-		return false
-	}
 	for _, e := range m {
-		if !s.contains(e.p) || s.count(e.p) != e.c {
+		if !s.contains(e.p) || s.mustNode(e.p).bucket.count != e.c {
 			return false
 		}
 	}

@@ -5,9 +5,9 @@
 // the cache, a Tiebreak orders equal scores, and an optional Planner
 // chooses how many segments and replicas of each program to keep. A
 // Pipeline assembles stages into the Policy contract driven by the
-// capacity-enforcing Cache container; the paper's fused LRU, LFU,
-// Oracle, and global-LFU implementations remain as the bit-identical
-// equivalence reference.
+// capacity-enforcing Cache container. The paper's LRU, LFU, Oracle and
+// global-LFU strategies are such compositions, assembled by the core
+// package's strategy registry.
 //
 // The index server admits and evicts at program granularity (the
 // paper's model); segment placement across peers is handled by the core
@@ -37,8 +37,7 @@
 // state: eviction order comes from the victim-order lists, and the core
 // package exports placements in ProgramID order. Custom stages and the
 // recency2, second-touch and global-popularity stages keep their own
-// ProgramID maps; the fused v1 reference policies key their victim
-// orders by private tables.
+// ProgramID maps.
 package cache
 
 import (
@@ -48,10 +47,6 @@ import (
 	"cablevod/internal/trace"
 	"cablevod/internal/units"
 )
-
-// alwaysAdmit is the candidate value meaning "admit regardless of victim
-// values" (used by LRU, where a fresh access always wins).
-const alwaysAdmit = int(^uint(0) >> 1) // math.MaxInt
 
 // Policy is a cache replacement strategy at program granularity. The Cache
 // container drives it; implementations maintain whatever bookkeeping their

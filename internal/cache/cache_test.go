@@ -19,8 +19,48 @@ func mustCache(t *testing.T, capacity units.ByteSize, p Policy) *Cache {
 	return c
 }
 
+// The built-in strategies' pipelines, composed as the core package's
+// strategy registry composes them.
+
+func mustPipeline(t *testing.T, name string, sc Scorer, err error) *Pipeline {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := NewPipeline(PipelineConfig{Name: name, Scorer: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+func newLRU(t *testing.T) *Pipeline {
+	return mustPipeline(t, "lru", NewConstantScorer("recency-only", 0), nil)
+}
+
+func newLFU(t *testing.T, history time.Duration) *Pipeline {
+	sc, err := NewFrequencyScorer(history)
+	return mustPipeline(t, "lfu", sc, err)
+}
+
+func newOracle(t *testing.T, idx *FutureIndex, lookahead time.Duration) *Pipeline {
+	sc, err := NewOracleScorer(idx, lookahead)
+	return mustPipeline(t, "oracle", sc, err)
+}
+
+func newGlobalLFU(t *testing.T, g *Global) *Pipeline {
+	return mustPipeline(t, "global-lfu", g.NewScorer(), nil)
+}
+
+// valueAt advances pl to now and returns p's candidate value, the way
+// the Cache consults a pipeline.
+func valueAt(pl *Pipeline, p trace.ProgramID, now time.Duration) int {
+	pl.Advance(now)
+	return pl.CandidateValue(p, now)
+}
+
 func TestNewCacheErrors(t *testing.T) {
-	if _, err := New(-1, NewLRU()); err == nil {
+	if _, err := New(-1, newLRU(t)); err == nil {
 		t.Error("expected error for negative capacity")
 	}
 	if _, err := New(1, nil); err == nil {
@@ -29,7 +69,7 @@ func TestNewCacheErrors(t *testing.T) {
 }
 
 func TestCacheHitMissCounters(t *testing.T) {
-	c := mustCache(t, 10*gb, NewLRU())
+	c := mustCache(t, 10*gb, newLRU(t))
 	c.Access(1, 2*gb, 0)             // miss, admitted
 	c.Access(1, 2*gb, time.Second)   // hit
 	c.Access(2, 2*gb, 2*time.Second) // miss
@@ -42,7 +82,7 @@ func TestCacheHitMissCounters(t *testing.T) {
 }
 
 func TestCacheAdmitWithoutEviction(t *testing.T) {
-	c := mustCache(t, 10*gb, NewLRU())
+	c := mustCache(t, 10*gb, newLRU(t))
 	res := c.Access(1, 4*gb, 0)
 	if res.Hit || !res.Admitted || len(res.Evicted) != 0 {
 		t.Errorf("result = %+v", res)
@@ -53,7 +93,7 @@ func TestCacheAdmitWithoutEviction(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := mustCache(t, 10*gb, NewLRU())
+	c := mustCache(t, 10*gb, newLRU(t))
 	c.Access(1, 4*gb, 1*time.Second)
 	c.Access(2, 4*gb, 2*time.Second)
 	c.Access(1, 4*gb, 3*time.Second) // refresh 1; LRU victim is now 2
@@ -67,7 +107,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheEvictsMultipleForLargeProgram(t *testing.T) {
-	c := mustCache(t, 10*gb, NewLRU())
+	c := mustCache(t, 10*gb, newLRU(t))
 	c.Access(1, 3*gb, 1*time.Second)
 	c.Access(2, 3*gb, 2*time.Second)
 	c.Access(3, 3*gb, 3*time.Second)
@@ -84,7 +124,7 @@ func TestCacheEvictsMultipleForLargeProgram(t *testing.T) {
 }
 
 func TestCacheRejectsOversizedProgram(t *testing.T) {
-	c := mustCache(t, 10*gb, NewLRU())
+	c := mustCache(t, 10*gb, newLRU(t))
 	res := c.Access(1, 11*gb, 0)
 	if res.Admitted {
 		t.Error("oversized program admitted")
@@ -95,7 +135,7 @@ func TestCacheRejectsOversizedProgram(t *testing.T) {
 }
 
 func TestCacheZeroSizeNotAdmitted(t *testing.T) {
-	c := mustCache(t, 10*gb, NewLRU())
+	c := mustCache(t, 10*gb, newLRU(t))
 	res := c.Access(1, 0, 0)
 	if res.Admitted {
 		t.Error("zero-size program admitted")
@@ -103,7 +143,7 @@ func TestCacheZeroSizeNotAdmitted(t *testing.T) {
 }
 
 func TestCacheZeroCapacity(t *testing.T) {
-	c := mustCache(t, 0, NewLRU())
+	c := mustCache(t, 0, newLRU(t))
 	res := c.Access(1, gb, 0)
 	if res.Admitted || res.Hit {
 		t.Errorf("result = %+v", res)
@@ -111,7 +151,7 @@ func TestCacheZeroCapacity(t *testing.T) {
 }
 
 func TestCacheForcedEvict(t *testing.T) {
-	c := mustCache(t, 10*gb, NewLRU())
+	c := mustCache(t, 10*gb, newLRU(t))
 	c.Access(1, 4*gb, 0)
 	if !c.Evict(1) {
 		t.Error("Evict returned false for cached program")
@@ -125,7 +165,7 @@ func TestCacheForcedEvict(t *testing.T) {
 }
 
 func TestCacheContents(t *testing.T) {
-	c := mustCache(t, 10*gb, NewLRU())
+	c := mustCache(t, 10*gb, newLRU(t))
 	c.Access(1, 2*gb, 1*time.Second)
 	c.Access(2, 2*gb, 2*time.Second)
 	c.Access(1, 2*gb, 3*time.Second)
@@ -137,7 +177,7 @@ func TestCacheContents(t *testing.T) {
 }
 
 func TestCacheNegativeSizePanics(t *testing.T) {
-	c := mustCache(t, 10*gb, NewLRU())
+	c := mustCache(t, 10*gb, newLRU(t))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -149,14 +189,8 @@ func TestCacheNegativeSizePanics(t *testing.T) {
 // Capacity is never exceeded across arbitrary workloads.
 func TestCacheCapacityInvariant(t *testing.T) {
 	policies := map[string]func() Policy{
-		"lru": func() Policy { return NewLRU() },
-		"lfu": func() Policy {
-			p, err := NewLFU(time.Hour)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		},
+		"lru": func() Policy { return newLRU(t) },
+		"lfu": func() Policy { return newLFU(t, time.Hour) },
 	}
 	for name, mk := range policies {
 		t.Run(name, func(t *testing.T) {

@@ -11,8 +11,6 @@ import (
 // will receive — the oracle's crystal ball. It is built from the same
 // trace the simulation will replay.
 type FutureIndex struct {
-	// times maps each program to its sorted access times.
-	times map[trace.ProgramID][]time.Duration
 	// all is every (program, time) access sorted by time.
 	all []futureAccess
 }
@@ -25,29 +23,13 @@ type futureAccess struct {
 // BuildFutureIndex indexes the given records (typically the requests of
 // one neighborhood's users).
 func BuildFutureIndex(records []trace.Record) *FutureIndex {
-	idx := &FutureIndex{
-		times: make(map[trace.ProgramID][]time.Duration),
-		all:   make([]futureAccess, 0, len(records)),
-	}
+	idx := &FutureIndex{all: make([]futureAccess, 0, len(records))}
 	for _, r := range records {
-		idx.times[r.Program] = append(idx.times[r.Program], r.Start)
 		idx.all = append(idx.all, futureAccess{at: r.Start, program: r.Program})
 	}
-	for p := range idx.times {
-		ts := idx.times[p]
-		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	}
+	// sort.Slice is not stable: the order it leaves equal-time accesses
+	// in is the order the oracle scorer counts them, so it is part of
+	// the oracle's results.
 	sort.Slice(idx.all, func(i, j int) bool { return idx.all[i].at < idx.all[j].at })
 	return idx
 }
-
-// CountIn returns the number of accesses to p in [from, to).
-func (idx *FutureIndex) CountIn(p trace.ProgramID, from, to time.Duration) int {
-	ts := idx.times[p]
-	lo := sort.Search(len(ts), func(i int) bool { return ts[i] >= from })
-	hi := sort.Search(len(ts), func(i int) bool { return ts[i] >= to })
-	return hi - lo
-}
-
-// Len returns the number of indexed accesses.
-func (idx *FutureIndex) Len() int { return len(idx.all) }

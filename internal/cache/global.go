@@ -14,9 +14,16 @@ import (
 // live global feed, lagged feeds updated in 30-minute and 2-hour batches,
 // and the purely local baseline.
 //
-// Global is the shared aggregator; GlobalLFU is the per-neighborhood
-// policy view of it. All neighborhoods' requests must be recorded through
-// their GlobalLFU policies for the shared counts to be meaningful.
+// Global is the shared aggregator; GlobalScorer is the per-neighborhood
+// pipeline stage that views it. All neighborhoods' requests must be
+// recorded through their GlobalScorer stages for the shared counts to be
+// meaningful.
+
+// expiryEvent is one recorded access in a history window.
+type expiryEvent struct {
+	program trace.ProgramID
+	at      time.Duration // time the access leaves the window
+}
 
 // Global aggregates windowed access counts across all neighborhoods.
 type Global struct {
@@ -34,9 +41,9 @@ type Global struct {
 	version     uint64
 	nextPublish time.Duration
 
-	// subscribers maps a program to the policy views currently caching
+	// subscribers maps a program to the scorer views currently caching
 	// it, for live (lag == 0) count-change pushes.
-	subscribers map[trace.ProgramID]map[globalView]struct{}
+	subscribers map[trace.ProgramID]map[*GlobalScorer]struct{}
 
 	// coordinated switches the aggregator into barrier-synchronized mode
 	// for concurrent neighborhood shards (see Coordinate): policies
@@ -45,24 +52,9 @@ type Global struct {
 	// engine calls between processing windows when no policy is running.
 	coordinated bool
 
-	// views lists every per-neighborhood view handed out (fused
-	// GlobalLFU policies or pipeline GlobalScorer stages), in creation
+	// views lists every per-neighborhood scorer handed out, in creation
 	// order, so Sync can drain their buffers deterministically.
-	views []globalView
-}
-
-// globalView is one neighborhood's view of the aggregator — either the
-// fused GlobalLFU policy or the pipeline GlobalScorer stage. A run uses
-// one kind throughout; the interface lets the aggregator push live
-// count changes and drain coordinated-mode buffers without knowing
-// which.
-type globalView interface {
-	// pushCount delivers a live (lag == 0) count change for a program
-	// this view is caching.
-	pushCount(p trace.ProgramID, count int)
-	// drainPending hands over and clears the view's coordinated-mode
-	// access buffer.
-	drainPending() []expiryEvent
+	views []*GlobalScorer
 }
 
 // NewGlobal returns a shared aggregator with the given history window and
@@ -80,16 +72,8 @@ func NewGlobal(history, lag time.Duration) (*Global, error) {
 		counts:      make(map[trace.ProgramID]int),
 		published:   make(map[trace.ProgramID]int),
 		nextPublish: lag,
-		subscribers: make(map[trace.ProgramID]map[globalView]struct{}),
+		subscribers: make(map[trace.ProgramID]map[*GlobalScorer]struct{}),
 	}, nil
-}
-
-// NewPolicy returns a fused policy view of the aggregator for one
-// neighborhood.
-func (g *Global) NewPolicy() *GlobalLFU {
-	pol := &GlobalLFU{global: g, set: newBucketSet()}
-	g.views = append(g.views, pol)
-	return pol
 }
 
 // NewScorer returns a pipeline scorer view of the aggregator for one
@@ -138,7 +122,8 @@ func (g *Global) Sync(now time.Duration) {
 	}
 	var batch []expiryEvent
 	for _, v := range g.views {
-		batch = append(batch, v.drainPending()...)
+		batch = append(batch, v.pending...)
+		v.pending = v.pending[:0]
 	}
 	// Record times are globally non-decreasing across windows, so the
 	// sorted batch keeps g.expiry monotone; tie order within a batch is
@@ -220,28 +205,28 @@ func (g *Global) publish() {
 	g.version++
 }
 
-// notify pushes a live count change to every view caching p. Views'
-// cached sets are disjoint structures, so map-iteration order does not
-// affect the outcome.
+// notify pushes a live count change to every view caching p, through
+// its pipeline's sink. Views' cached sets are disjoint structures, so
+// map-iteration order does not affect the outcome.
 func (g *Global) notify(p trace.ProgramID) {
 	if g.lag != 0 {
 		return
 	}
 	for v := range g.subscribers[p] {
-		v.pushCount(p, g.counts[p])
+		v.sink.Update(p, g.counts[p])
 	}
 }
 
-func (g *Global) subscribe(p trace.ProgramID, v globalView) {
+func (g *Global) subscribe(p trace.ProgramID, v *GlobalScorer) {
 	subs, ok := g.subscribers[p]
 	if !ok {
-		subs = make(map[globalView]struct{})
+		subs = make(map[*GlobalScorer]struct{})
 		g.subscribers[p] = subs
 	}
 	subs[v] = struct{}{}
 }
 
-func (g *Global) unsubscribe(p trace.ProgramID, v globalView) {
+func (g *Global) unsubscribe(p trace.ProgramID, v *GlobalScorer) {
 	subs := g.subscribers[p]
 	delete(subs, v)
 	if len(subs) == 0 {
@@ -249,118 +234,9 @@ func (g *Global) unsubscribe(p trace.ProgramID, v globalView) {
 	}
 }
 
-// GlobalLFU is an LFU policy whose frequency data comes from the shared
-// Global aggregator instead of the local neighborhood history.
-type GlobalLFU struct {
-	global  *Global
-	set     *bucketSet
-	version uint64
-
-	// pending buffers this neighborhood's access records between
-	// barriers in coordinated mode; only Sync drains it.
-	pending []expiryEvent
-}
-
-var (
-	_ Policy     = (*GlobalLFU)(nil)
-	_ globalView = (*GlobalLFU)(nil)
-)
-
-// pushCount implements globalView: live count changes land directly in
-// the victim-order structure.
-func (l *GlobalLFU) pushCount(p trace.ProgramID, count int) {
-	l.set.setCount(p, count)
-}
-
-// drainPending implements globalView.
-func (l *GlobalLFU) drainPending() []expiryEvent {
-	out := l.pending
-	l.pending = l.pending[:0]
-	return out
-}
-
-// Name returns "global-lfu".
-func (l *GlobalLFU) Name() string { return "global-lfu" }
-
-// Advance slides the shared window and adopts any new published snapshot.
-func (l *GlobalLFU) Advance(now time.Duration) {
-	l.global.advance(now)
-	if l.global.lag > 0 && l.version != l.global.version {
-		l.rebuild()
-		l.version = l.global.version
-	}
-}
-
-// rebuild re-scores every cached program from the published snapshot, in
-// current victim order so ties keep a deterministic recency order.
-func (l *GlobalLFU) rebuild() {
-	type pair struct {
-		p trace.ProgramID
-		c int
-	}
-	updates := make([]pair, 0, l.set.len())
-	l.set.ascend(func(p trace.ProgramID, _ int) bool {
-		updates = append(updates, pair{p: p, c: l.global.count(p)})
-		return true
-	})
-	for _, u := range updates {
-		l.set.setCount(u.p, u.c)
-	}
-}
-
-// OnRequest records the access into the shared aggregator (or, in
-// coordinated mode, the local barrier buffer) and refreshes local
-// recency.
-func (l *GlobalLFU) OnRequest(p trace.ProgramID, now time.Duration) {
-	l.Advance(now)
-	if l.global.coordinated {
-		if l.global.history > 0 {
-			l.pending = append(l.pending, expiryEvent{program: p, at: now + l.global.history})
-		}
-	} else {
-		l.global.record(p, now)
-	}
-	if l.set.contains(p) {
-		if l.global.lag == 0 {
-			l.set.setCount(p, l.global.count(p))
-		}
-		l.set.touch(p)
-	}
-}
-
-// CandidateValue returns the globally aggregated count visible now.
-func (l *GlobalLFU) CandidateValue(p trace.ProgramID, now time.Duration) int {
-	l.Advance(now)
-	return l.global.count(p)
-}
-
-// OnAdmit starts tracking p at its visible global count.
-func (l *GlobalLFU) OnAdmit(p trace.ProgramID, _ time.Duration) {
-	l.set.add(p, l.global.count(p))
-	if l.global.lag == 0 {
-		l.global.subscribe(p, l)
-	}
-}
-
-// OnEvict stops tracking p.
-func (l *GlobalLFU) OnEvict(p trace.ProgramID) {
-	l.set.remove(p)
-	if l.global.lag == 0 {
-		l.global.unsubscribe(p, l)
-	}
-}
-
-// EvictionOrder yields cached programs from least to most globally
-// popular, least recently used first within a score.
-func (l *GlobalLFU) EvictionOrder(yield func(p trace.ProgramID, value int) bool) {
-	l.set.ascend(yield)
-}
-
 // GlobalScorer is the pipeline valuation stage backed by the shared
-// Global aggregator: the scorer half of the fused GlobalLFU, with the
-// victim-order bookkeeping left to the Pipeline. All neighborhoods'
-// requests must be recorded through their GlobalScorer stages for the
-// shared counts to be meaningful.
+// Global aggregator, with the victim-order bookkeeping left to the
+// Pipeline: the valuation of the built-in global-lfu strategy.
 type GlobalScorer struct {
 	global  *Global
 	sink    ScoreSink
@@ -371,23 +247,7 @@ type GlobalScorer struct {
 	pending []expiryEvent
 }
 
-var (
-	_ Scorer     = (*GlobalScorer)(nil)
-	_ globalView = (*GlobalScorer)(nil)
-)
-
-// pushCount implements globalView: live count changes flow through the
-// pipeline's sink.
-func (sc *GlobalScorer) pushCount(p trace.ProgramID, count int) {
-	sc.sink.Update(p, count)
-}
-
-// drainPending implements globalView.
-func (sc *GlobalScorer) drainPending() []expiryEvent {
-	out := sc.pending
-	sc.pending = sc.pending[:0]
-	return out
-}
+var _ Scorer = (*GlobalScorer)(nil)
 
 // Name returns "global-freq".
 func (sc *GlobalScorer) Name() string { return "global-freq" }

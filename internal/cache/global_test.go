@@ -27,8 +27,8 @@ func TestNewGlobalErrors(t *testing.T) {
 
 func TestGlobalLiveCountsSharedAcrossNeighborhoods(t *testing.T) {
 	g := mustGlobal(t, 24*time.Hour, 0)
-	a := g.NewPolicy()
-	b := g.NewPolicy()
+	a := newGlobalLFU(t, g)
+	b := newGlobalLFU(t, g)
 
 	ca := mustCache(t, 4*gb, a)
 	cb := mustCache(t, 4*gb, b)
@@ -50,8 +50,8 @@ func TestGlobalLiveCountsSharedAcrossNeighborhoods(t *testing.T) {
 
 func TestGlobalLiveBucketUpdatesOnRemoteAccess(t *testing.T) {
 	g := mustGlobal(t, 24*time.Hour, 0)
-	a := g.NewPolicy()
-	b := g.NewPolicy()
+	a := newGlobalLFU(t, g)
+	b := newGlobalLFU(t, g)
 	ca := mustCache(t, 2*gb, a)
 	cb := mustCache(t, 4*gb, b)
 
@@ -74,32 +74,32 @@ func TestGlobalLiveBucketUpdatesOnRemoteAccess(t *testing.T) {
 
 func TestGlobalLaggedSnapshot(t *testing.T) {
 	g := mustGlobal(t, 24*time.Hour, 30*time.Minute)
-	pol := g.NewPolicy()
+	pol := newGlobalLFU(t, g)
 	c := mustCache(t, 4*gb, pol)
 
 	c.Access(1, 2*gb, time.Minute)
 	c.Access(2, 2*gb, 2*time.Minute)
 	// Before publication every count reads 0.
-	if got := pol.CandidateValue(1, 5*time.Minute); got != 0 {
+	if got := valueAt(pol, 1, 5*time.Minute); got != 0 {
 		t.Errorf("pre-publication value = %d, want 0", got)
 	}
 	// After the 30-minute boundary the snapshot is visible.
-	if got := pol.CandidateValue(1, 31*time.Minute); got != 1 {
+	if got := valueAt(pol, 1, 31*time.Minute); got != 1 {
 		t.Errorf("post-publication value = %d, want 1", got)
 	}
 	// Accesses after the boundary stay invisible until the next one.
 	c.Access(1, 2*gb, 32*time.Minute)
-	if got := pol.CandidateValue(1, 40*time.Minute); got != 1 {
+	if got := valueAt(pol, 1, 40*time.Minute); got != 1 {
 		t.Errorf("mid-batch value = %d, want 1", got)
 	}
-	if got := pol.CandidateValue(1, 61*time.Minute); got != 2 {
+	if got := valueAt(pol, 1, 61*time.Minute); got != 2 {
 		t.Errorf("after second publication = %d, want 2", got)
 	}
 }
 
 func TestGlobalLaggedRebuildReordersVictims(t *testing.T) {
 	g := mustGlobal(t, 24*time.Hour, 10*time.Minute)
-	pol := g.NewPolicy()
+	pol := newGlobalLFU(t, g)
 	c := mustCache(t, 4*gb, pol)
 	c.Access(1, 2*gb, 1*time.Minute)
 	c.Access(2, 2*gb, 2*time.Minute)
@@ -120,20 +120,20 @@ func TestGlobalLaggedRebuildReordersVictims(t *testing.T) {
 
 func TestGlobalHistoryDecayAppliesGlobally(t *testing.T) {
 	g := mustGlobal(t, time.Hour, 0)
-	pol := g.NewPolicy()
+	pol := newGlobalLFU(t, g)
 	c := mustCache(t, 4*gb, pol)
 	c.Access(1, 2*gb, 0)
-	if got := pol.CandidateValue(1, 30*time.Minute); got != 1 {
+	if got := valueAt(pol, 1, 30*time.Minute); got != 1 {
 		t.Errorf("count = %d, want 1", got)
 	}
-	if got := pol.CandidateValue(1, 2*time.Hour); got != 0 {
+	if got := valueAt(pol, 1, 2*time.Hour); got != 0 {
 		t.Errorf("expired count = %d, want 0", got)
 	}
 }
 
 func TestGlobalUnsubscribeOnEvict(t *testing.T) {
 	g := mustGlobal(t, 24*time.Hour, 0)
-	pol := g.NewPolicy()
+	pol := newGlobalLFU(t, g)
 	c := mustCache(t, 2*gb, pol)
 	c.Access(1, 2*gb, 1*time.Second)
 	c.Access(2, 2*gb, 2*time.Second) // evicts 1 (tie admits)
@@ -152,7 +152,7 @@ func TestGlobalCoordinateRequiresLag(t *testing.T) {
 		t.Error("expected error coordinating a live (lag 0) feed")
 	}
 	g := mustGlobal(t, 24*time.Hour, time.Hour)
-	pol := g.NewPolicy()
+	pol := newGlobalLFU(t, g)
 	pol.OnRequest(1, time.Second)
 	if err := g.Coordinate(); err == nil {
 		t.Error("expected error coordinating after traffic")
@@ -161,9 +161,9 @@ func TestGlobalCoordinateRequiresLag(t *testing.T) {
 
 // TestGlobalCoordinatedMatchesSerialLagged drives the same interleaved
 // request schedule through a serial lagged aggregator and a coordinated
-// one (buffered policies synchronized at exactly the publication
+// one (buffered scorers synchronized at exactly the publication
 // instants the serial aggregator would use) and requires identical
-// policy-visible counts at every step.
+// pipeline-visible counts at every step.
 func TestGlobalCoordinatedMatchesSerialLagged(t *testing.T) {
 	const (
 		history = 2 * time.Hour
@@ -192,10 +192,10 @@ func TestGlobalCoordinatedMatchesSerialLagged(t *testing.T) {
 	if err := coord.Coordinate(); err != nil {
 		t.Fatal(err)
 	}
-	var serialPols, coordPols []*GlobalLFU
+	var serialPols, coordPols []*Pipeline
 	for i := 0; i < nPols; i++ {
-		serialPols = append(serialPols, serial.NewPolicy())
-		coordPols = append(coordPols, coord.NewPolicy())
+		serialPols = append(serialPols, newGlobalLFU(t, serial))
+		coordPols = append(coordPols, newGlobalLFU(t, coord))
 	}
 
 	for i, r := range schedule {
@@ -209,8 +209,8 @@ func TestGlobalCoordinatedMatchesSerialLagged(t *testing.T) {
 		coordPols[r.nb].OnRequest(r.p, r.at)
 		for nb := 0; nb < nPols; nb++ {
 			for p := trace.ProgramID(1); p <= 12; p++ {
-				want := serialPols[nb].CandidateValue(p, r.at)
-				got := coordPols[nb].CandidateValue(p, r.at)
+				want := valueAt(serialPols[nb], p, r.at)
+				got := valueAt(coordPols[nb], p, r.at)
 				if got != want {
 					t.Fatalf("step %d (t=%v nb=%d): program %d: coordinated count %d, serial %d",
 						i, r.at, nb, p, got, want)

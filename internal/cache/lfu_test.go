@@ -7,23 +7,16 @@ import (
 	"cablevod/internal/trace"
 )
 
-func mustLFU(t *testing.T, history time.Duration) *LFU {
-	t.Helper()
-	l, err := NewLFU(history)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
-}
+// The lfu strategy: a windowed-frequency scorer under the LRU tiebreak.
 
 func TestNewLFUNegativeHistory(t *testing.T) {
-	if _, err := NewLFU(-time.Hour); err == nil {
+	if _, err := NewFrequencyScorer(-time.Hour); err == nil {
 		t.Error("expected error")
 	}
 }
 
 func TestLFUPrefersFrequent(t *testing.T) {
-	c := mustCache(t, 4*gb, mustLFU(t, 24*time.Hour))
+	c := mustCache(t, 4*gb, newLFU(t, 24*time.Hour))
 	// Program 1 accessed 3 times, program 2 once; both cached.
 	c.Access(1, 2*gb, 1*time.Second)
 	c.Access(1, 2*gb, 2*time.Second)
@@ -41,7 +34,7 @@ func TestLFUPrefersFrequent(t *testing.T) {
 }
 
 func TestLFURefusesWeakCandidate(t *testing.T) {
-	c := mustCache(t, 4*gb, mustLFU(t, 24*time.Hour))
+	c := mustCache(t, 4*gb, newLFU(t, 24*time.Hour))
 	for i := 0; i < 3; i++ {
 		c.Access(1, 2*gb, time.Duration(i)*time.Second)
 		c.Access(2, 2*gb, time.Duration(i)*time.Second+500*time.Millisecond)
@@ -57,7 +50,7 @@ func TestLFURefusesWeakCandidate(t *testing.T) {
 }
 
 func TestLFUWindowDecay(t *testing.T) {
-	c := mustCache(t, 4*gb, mustLFU(t, time.Hour))
+	c := mustCache(t, 4*gb, newLFU(t, time.Hour))
 	// Program 1: 3 accesses early; program 2: 2 accesses later.
 	c.Access(1, 2*gb, 0)
 	c.Access(1, 2*gb, time.Minute)
@@ -74,8 +67,8 @@ func TestLFUWindowDecay(t *testing.T) {
 
 func TestLFUZeroHistoryIsLRU(t *testing.T) {
 	// With history 0, LFU must behave exactly like LRU (paper, Fig 11).
-	cl := mustCache(t, 6*gb, mustLFU(t, 0))
-	cr := mustCache(t, 6*gb, NewLRU())
+	cl := mustCache(t, 6*gb, newLFU(t, 0))
+	cr := mustCache(t, 6*gb, newLRU(t))
 	x := uint64(99)
 	for i := 0; i < 3000; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
@@ -98,7 +91,7 @@ func TestLFUZeroHistoryIsLRU(t *testing.T) {
 }
 
 func TestLFUTimeBackwardsPanics(t *testing.T) {
-	l := mustLFU(t, time.Hour)
+	l := newLFU(t, time.Hour)
 	l.Advance(time.Minute)
 	defer func() {
 		if recover() == nil {
@@ -109,15 +102,15 @@ func TestLFUTimeBackwardsPanics(t *testing.T) {
 }
 
 func TestLFUCandidateValueCountsCurrentRequest(t *testing.T) {
-	l := mustLFU(t, time.Hour)
+	l := newLFU(t, time.Hour)
 	l.OnRequest(5, time.Second)
-	if got := l.CandidateValue(5, time.Second); got != 1 {
+	if got := valueAt(l, 5, time.Second); got != 1 {
 		t.Errorf("CandidateValue = %d, want 1", got)
 	}
 }
 
 func TestLFUTieBreakIsLRU(t *testing.T) {
-	c := mustCache(t, 4*gb, mustLFU(t, 24*time.Hour))
+	c := mustCache(t, 4*gb, newLFU(t, 24*time.Hour))
 	c.Access(1, 2*gb, 1*time.Second)
 	c.Access(2, 2*gb, 2*time.Second)
 	c.Access(1, 2*gb, 3*time.Second)

@@ -18,31 +18,14 @@ func futureRecords(accesses map[trace.ProgramID][]time.Duration) []trace.Record 
 	return out
 }
 
-func TestFutureIndexCountIn(t *testing.T) {
-	idx := BuildFutureIndex(futureRecords(map[trace.ProgramID][]time.Duration{
-		1: {time.Hour, 2 * time.Hour, 3 * time.Hour},
-		2: {30 * time.Minute},
-	}))
-	if got := idx.CountIn(1, 0, 4*time.Hour); got != 3 {
-		t.Errorf("CountIn = %d, want 3", got)
-	}
-	if got := idx.CountIn(1, 90*time.Minute, 3*time.Hour); got != 1 {
-		t.Errorf("CountIn half-open = %d, want 1 (3h excluded)", got)
-	}
-	if got := idx.CountIn(9, 0, time.Hour); got != 0 {
-		t.Errorf("CountIn unknown = %d, want 0", got)
-	}
-	if idx.Len() != 4 {
-		t.Errorf("Len = %d, want 4", idx.Len())
-	}
-}
+// The oracle strategy: a future-window scorer under the LRU tiebreak.
 
 func TestNewOracleErrors(t *testing.T) {
-	if _, err := NewOracle(nil, time.Hour); err == nil {
+	if _, err := NewOracleScorer(nil, time.Hour); err == nil {
 		t.Error("expected error for nil index")
 	}
 	idx := BuildFutureIndex(nil)
-	if _, err := NewOracle(idx, 0); err == nil {
+	if _, err := NewOracleScorer(idx, 0); err == nil {
 		t.Error("expected error for zero lookahead")
 	}
 }
@@ -55,11 +38,7 @@ func TestOracleKeepsFutureWinners(t *testing.T) {
 		2: {11 * time.Minute},
 		3: {12 * time.Minute, 5 * time.Hour, 6 * time.Hour},
 	}))
-	o2, err := NewOracle(idx2, DefaultOracleLookahead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := mustCache(t, 4*gb, o2)
+	c2 := mustCache(t, 4*gb, newOracle(t, idx2, DefaultOracleLookahead))
 	c2.Access(1, 2*gb, 10*time.Minute)
 	c2.Access(2, 2*gb, 11*time.Minute)
 	res := c2.Access(3, 2*gb, 12*time.Minute)
@@ -75,21 +54,24 @@ func TestOracleWindowSlides(t *testing.T) {
 	idx := BuildFutureIndex(futureRecords(map[trace.ProgramID][]time.Duration{
 		1: {0, 100 * time.Hour},
 	}))
-	o, err := NewOracle(idx, 24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At t=0 the t=100h access is outside the 24h lookahead.
-	if got := o.CandidateValue(1, 0); got != 0 {
-		t.Errorf("value at t=0 = %d, want 0 (only future counts)", got)
-	}
-	// At t=80h the t=100h access is within lookahead.
-	if got := o.CandidateValue(1, 80*time.Hour); got != 1 {
-		t.Errorf("value at t=80h = %d, want 1", got)
-	}
-	// At t=100h the access is no longer strictly future.
-	if got := o.CandidateValue(1, 100*time.Hour); got != 0 {
-		t.Errorf("value at t=100h = %d, want 0", got)
+	o := newOracle(t, idx, 24*time.Hour)
+	// The window is (now, now+24h]: the t=100h access enters it at
+	// exactly 76h and leaves it at exactly 100h, when it is no longer
+	// strictly future.
+	for _, step := range []struct {
+		now  time.Duration
+		want int
+	}{
+		{0, 0},
+		{76*time.Hour - 1, 0},
+		{76 * time.Hour, 1},
+		{80 * time.Hour, 1},
+		{100*time.Hour - 1, 1},
+		{100 * time.Hour, 0},
+	} {
+		if got := valueAt(o, 1, step.now); got != step.want {
+			t.Errorf("value at t=%v = %d, want %d", step.now, got, step.want)
+		}
 	}
 }
 
@@ -117,17 +99,8 @@ func TestOracleBeatsLFUOnAdversarialWorkload(t *testing.T) {
 		}
 		return c.Hits()
 	}
-	idx := BuildFutureIndex(recs)
-	o, err := NewOracle(idx, DefaultOracleLookahead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracleHits := run(o)
-	lfu, err := NewLFU(24 * time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lfuHits := run(lfu)
+	oracleHits := run(newOracle(t, BuildFutureIndex(recs), DefaultOracleLookahead))
+	lfuHits := run(newLFU(t, 24*time.Hour))
 	if oracleHits < lfuHits {
 		t.Errorf("oracle hits %d < lfu hits %d", oracleHits, lfuHits)
 	}
@@ -145,12 +118,7 @@ func TestOracleEvictionNeverExceedsCapacity(t *testing.T) {
 			Duration: time.Minute,
 		})
 	}
-	idx := BuildFutureIndex(recs)
-	o, err := NewOracle(idx, 12*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := mustCache(t, 5*gb, o)
+	c := mustCache(t, 5*gb, newOracle(t, BuildFutureIndex(recs), 12*time.Hour))
 	for i, r := range recs {
 		size := units.ByteSize(1+int(r.Program)%3) * gb
 		c.Access(r.Program, size, r.Start)

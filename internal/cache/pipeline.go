@@ -23,9 +23,8 @@ import (
 // A Pipeline assembles the stages into the existing Policy contract, so
 // the Cache container, the engine shards, and the coupler machinery are
 // unchanged consumers. The four paper strategies (lru, lfu, oracle,
-// global-lfu) are pipeline compositions producing results bit-identical
-// to the fused v1 implementations, which remain in this package as the
-// reference for equivalence tests.
+// global-lfu) are pipeline compositions; the core package's strategy
+// golden pins their results.
 
 // Plan is a segment placement plan for one admitted program: how deep a
 // prefix to cache and how many copies of each cached segment to keep.
@@ -178,9 +177,9 @@ type PipelineConfig struct {
 
 // Pipeline assembles composable stages into the Policy contract. It
 // owns the victim-order structure (score ascending, tiebreak within a
-// score) and drives the stages in the exact order the fused v1 policies
-// interleaved their bookkeeping, so a pipeline built from equivalent
-// stages reproduces a fused policy's decisions bit for bit.
+// score) and drives the stages in one fixed order per request: the
+// scorer, the admission stage, then the cached entry's re-score and
+// (under TiebreakLRU) recency refresh.
 //
 // A pipeline also owns the program table its victim order and its
 // built-in scorer are keyed by; a Cache driving the pipeline adopts the
@@ -394,8 +393,8 @@ func (pl *Pipeline) updateKey(k Key, score int) {
 }
 
 // Rescore implements ScoreSink: scores are collected in current victim
-// order first, then applied in that order, exactly like the fused
-// global-lfu snapshot rebuild.
+// order first, then applied in that order, so ties keep a
+// deterministic recency order.
 func (pl *Pipeline) Rescore(score func(p trace.ProgramID) int) {
 	type pair struct {
 		k Key

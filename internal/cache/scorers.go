@@ -8,14 +8,14 @@ import (
 	"cablevod/internal/units"
 )
 
-// Built-in pipeline stages. The first three scorers replicate the fused
-// v1 policies' valuation bookkeeping exactly (constant = LRU, windowed
-// frequency = LFU, future window = Oracle; the global-popularity scorer
-// lives in global.go next to its aggregator), so pipelines assembled
-// from them are bit-identical to the fused implementations. The
-// remaining stages are new compositions enabled by the split: last-two-
-// reference recency, size-aware frequency, admission filters, and
-// popularity-scaled placement plans.
+// Built-in pipeline stages. The first three scorers value programs for
+// the paper's strategies (constant = LRU, windowed frequency = LFU,
+// future window = Oracle; the global-popularity scorer lives in
+// global.go next to its aggregator). The remaining stages are new
+// compositions enabled by the split: last-two-reference recency,
+// size-aware frequency, admission filters, and popularity-scaled
+// placement plans. core's strategy golden pins what every built-in
+// strategy assembled from them does.
 
 // constantScorer values every program identically: eviction order and
 // admission reduce to the tiebreak, which is plain LRU/FIFO.
@@ -189,6 +189,11 @@ type oracleEntry struct {
 	program trace.ProgramID
 	key     Key
 }
+
+// DefaultOracleLookahead is the paper's oracle window: it "caches the
+// files that will be used the most frequently in the next three days"
+// (Section VI-A).
+const DefaultOracleLookahead = 3 * 24 * time.Hour
 
 // NewOracleScorer returns a future-knowledge scorer over idx.
 func NewOracleScorer(idx *FutureIndex, lookahead time.Duration) (Scorer, error) {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"cablevod/internal/cache"
 	"cablevod/internal/hfc"
 	"cablevod/internal/synth"
 	"cablevod/internal/trace"
@@ -15,7 +14,7 @@ import (
 
 func TestReplicationPlacesMultipleCopies(t *testing.T) {
 	nb := buildNeighborhood(t, 6, units.GB)
-	is, err := NewIndexServer(nb, cache.NewLRU(), fixedLengths(10*time.Minute), ServerOptions{
+	is, err := NewIndexServer(nb, lruPolicy(t), fixedLengths(10*time.Minute), ServerOptions{
 		EnforceStreamLimit: true,
 		Fill:               FillImmediate,
 		Replicas:           3,
@@ -46,7 +45,7 @@ func TestReplicationPlacesMultipleCopies(t *testing.T) {
 
 func TestReplicationServesPastBusyPeer(t *testing.T) {
 	nb := buildNeighborhood(t, 6, units.GB)
-	is, err := NewIndexServer(nb, cache.NewLRU(), fixedLengths(5*time.Minute), ServerOptions{
+	is, err := NewIndexServer(nb, lruPolicy(t), fixedLengths(5*time.Minute), ServerOptions{
 		EnforceStreamLimit: true,
 		Fill:               FillImmediate,
 		Replicas:           2,
@@ -106,7 +105,7 @@ func TestReplicationReducesBusyMisses(t *testing.T) {
 
 func TestPrefixCachingLimitsPlacement(t *testing.T) {
 	nb := buildNeighborhood(t, 6, units.GB)
-	is, err := NewIndexServer(nb, cache.NewLRU(), fixedLengths(30*time.Minute), ServerOptions{
+	is, err := NewIndexServer(nb, lruPolicy(t), fixedLengths(30*time.Minute), ServerOptions{
 		EnforceStreamLimit: true,
 		Fill:               FillImmediate,
 		PrefixSegments:     2,

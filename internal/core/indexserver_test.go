@@ -30,9 +30,25 @@ func fixedLengths(l time.Duration) func(trace.ProgramID) time.Duration {
 	return func(trace.ProgramID) time.Duration { return l }
 }
 
+// lruPolicy returns the built-in lru strategy's policy for one
+// neighborhood, for tests that need some policy to drive.
+func lruPolicy(t *testing.T) cache.Policy {
+	t.Helper()
+	factory, _ := LookupStrategyFactory(StrategyLRU.String())
+	build, err := factory(&PolicyEnv{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := build(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol
+}
+
 func newIS(t *testing.T, nb *hfc.Neighborhood, fill FillMode) *IndexServer {
 	t.Helper()
-	is, err := NewIndexServer(nb, cache.NewLRU(), fixedLengths(10*time.Minute), ServerOptions{
+	is, err := NewIndexServer(nb, lruPolicy(t), fixedLengths(10*time.Minute), ServerOptions{
 		EnforceStreamLimit: true,
 		Fill:               fill,
 		BroadcastFill:      true,
@@ -60,19 +76,19 @@ func mustPlacementSlots(t *testing.T, is *IndexServer, p trace.ProgramID) [][]in
 
 func TestNewIndexServerErrors(t *testing.T) {
 	nb := buildNeighborhood(t, 4, units.GB)
-	if _, err := NewIndexServer(nil, cache.NewLRU(), fixedLengths(time.Hour), ServerOptions{}); err == nil {
+	if _, err := NewIndexServer(nil, lruPolicy(t), fixedLengths(time.Hour), ServerOptions{}); err == nil {
 		t.Error("expected error for nil neighborhood")
 	}
-	if _, err := NewIndexServer(nb, cache.NewLRU(), nil, ServerOptions{}); err == nil {
+	if _, err := NewIndexServer(nb, lruPolicy(t), nil, ServerOptions{}); err == nil {
 		t.Error("expected error for nil length resolver")
 	}
-	if _, err := NewIndexServer(nb, cache.NewLRU(), fixedLengths(time.Hour), ServerOptions{Fill: FillMode(99)}); err == nil {
+	if _, err := NewIndexServer(nb, lruPolicy(t), fixedLengths(time.Hour), ServerOptions{Fill: FillMode(99)}); err == nil {
 		t.Error("expected error for invalid fill mode")
 	}
-	if _, err := NewIndexServer(nb, cache.NewLRU(), fixedLengths(time.Hour), ServerOptions{Replicas: -1}); err == nil {
+	if _, err := NewIndexServer(nb, lruPolicy(t), fixedLengths(time.Hour), ServerOptions{Replicas: -1}); err == nil {
 		t.Error("expected error for negative replicas")
 	}
-	if _, err := NewIndexServer(nb, cache.NewLRU(), fixedLengths(time.Hour), ServerOptions{PrefixSegments: -1}); err == nil {
+	if _, err := NewIndexServer(nb, lruPolicy(t), fixedLengths(time.Hour), ServerOptions{PrefixSegments: -1}); err == nil {
 		t.Error("expected error for negative prefix")
 	}
 }

@@ -235,9 +235,9 @@ func storedSegments(env *PolicyEnv) func(trace.ProgramID) int {
 }
 
 // The built-in strategy zoo. The paper's four strategies are pipeline
-// compositions of the stages in internal/cache (bit-identical to the
-// fused v1 implementations, proven by the equivalence suites); the
-// rest are new compositions the stage split enables.
+// compositions of the stages in internal/cache; the rest are new
+// compositions the stage split enables. TestStrategyGolden pins what
+// each of them does.
 func init() {
 	mustRegisterStrategy(StrategyLRU.String(),
 		"least-recently-used queue; every miss admits (paper §IV-B.2)",

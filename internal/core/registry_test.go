@@ -26,7 +26,7 @@ func TestRegistryBuiltins(t *testing.T) {
 
 func TestRegistryRejectsDuplicatesAndNil(t *testing.T) {
 	if err := RegisterStrategy("lfu", perNeighborhood(func(Config) (cache.Policy, error) {
-		return cache.NewLRU(), nil
+		return lruPolicy(t), nil
 	})); err == nil {
 		t.Error("expected error re-registering lfu")
 	}

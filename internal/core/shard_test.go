@@ -236,11 +236,11 @@ func TestShardModeSelection(t *testing.T) {
 	// A custom strategy registered without traits (unknown provenance)
 	// serializes; one registered shard-independent runs free.
 	if err := RegisterStrategy("shard-test-opaque", perNeighborhood(
-		func(Config) (cache.Policy, error) { return cache.NewLRU(), nil })); err != nil {
+		func(Config) (cache.Policy, error) { return lruPolicy(t), nil })); err != nil {
 		t.Fatal(err)
 	}
 	if err := RegisterStrategyTraits("shard-test-independent", perNeighborhood(
-		func(Config) (cache.Policy, error) { return cache.NewLRU(), nil }), independent); err != nil {
+		func(Config) (cache.Policy, error) { return lruPolicy(t), nil }), independent); err != nil {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]shardMode{

@@ -1,3 +1,7 @@
+// Package popularity holds the program-popularity analysis of Figure 12:
+// how viewing of the most popular programs decays by day since each
+// program's introduction. The LFU strategies' windowed access counts
+// live with their scorers in the cache package.
 package popularity
 
 import (

@@ -3,14 +3,7 @@ package randdist
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Dist is a continuous distribution that can be sampled with an RNG.
-type Dist interface {
-	// Sample draws one variate.
-	Sample(r *RNG) float64
-}
 
 // Lognormal is a lognormal distribution parameterized by the mean (Mu) and
 // standard deviation (Sigma) of the underlying normal.
@@ -18,8 +11,6 @@ type Lognormal struct {
 	Mu    float64
 	Sigma float64
 }
-
-var _ Dist = (*Lognormal)(nil)
 
 // Sample draws a lognormal variate.
 func (d *Lognormal) Sample(r *RNG) float64 {
@@ -38,8 +29,6 @@ type TruncExp struct {
 	Max  float64
 }
 
-var _ Dist = (*TruncExp)(nil)
-
 // Sample draws a truncated exponential variate in [0, Max].
 func (d *TruncExp) Sample(r *RNG) float64 {
 	if d.Mean <= 0 || d.Max <= 0 {
@@ -51,93 +40,4 @@ func (d *TruncExp) Sample(r *RNG) float64 {
 	u := r.Float64()
 	z := 1 - u*(1-math.Exp(-lambda*d.Max))
 	return -math.Log(z) / lambda
-}
-
-// Uniform is a uniform distribution on [Lo, Hi).
-type Uniform struct {
-	Lo float64
-	Hi float64
-}
-
-var _ Dist = (*Uniform)(nil)
-
-// Sample draws a uniform variate.
-func (d *Uniform) Sample(r *RNG) float64 {
-	return d.Lo + (d.Hi-d.Lo)*r.Float64()
-}
-
-// Point is a degenerate distribution that always returns Value.
-type Point struct {
-	Value float64
-}
-
-var _ Dist = (*Point)(nil)
-
-// Sample returns the fixed value.
-func (d *Point) Sample(*RNG) float64 { return d.Value }
-
-// Mixture draws from one of its components with the given weights.
-type Mixture struct {
-	components []Dist
-	picker     *Alias
-}
-
-var _ Dist = (*Mixture)(nil)
-
-// NewMixture builds a mixture distribution. Components and weights must
-// have the same nonzero length.
-func NewMixture(components []Dist, weights []float64) (*Mixture, error) {
-	if len(components) == 0 || len(components) != len(weights) {
-		return nil, fmt.Errorf("randdist: mixture needs matching components (%d) and weights (%d)",
-			len(components), len(weights))
-	}
-	picker, err := NewAlias(weights)
-	if err != nil {
-		return nil, fmt.Errorf("randdist: mixture weights: %w", err)
-	}
-	return &Mixture{components: append([]Dist(nil), components...), picker: picker}, nil
-}
-
-// Sample draws a variate from a randomly chosen component.
-func (d *Mixture) Sample(r *RNG) float64 {
-	return d.components[d.picker.Draw(r)].Sample(r)
-}
-
-// Empirical samples uniformly from a fixed set of observed values; it is
-// used to resample e.g. program lengths from a measured set.
-type Empirical struct {
-	values []float64
-}
-
-var _ Dist = (*Empirical)(nil)
-
-// NewEmpirical builds an empirical distribution from observations.
-func NewEmpirical(values []float64) (*Empirical, error) {
-	if len(values) == 0 {
-		return nil, fmt.Errorf("randdist: empirical distribution needs at least one value")
-	}
-	v := append([]float64(nil), values...)
-	sort.Float64s(v)
-	return &Empirical{values: v}, nil
-}
-
-// Sample draws one of the observed values uniformly.
-func (d *Empirical) Sample(r *RNG) float64 {
-	return d.values[r.IntN(len(d.values))]
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the observations using
-// the nearest-rank method.
-func (d *Empirical) Quantile(q float64) float64 {
-	if q <= 0 {
-		return d.values[0]
-	}
-	if q >= 1 {
-		return d.values[len(d.values)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(d.values)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return d.values[idx]
 }

@@ -57,111 +57,3 @@ func TestTruncExpPanicsOnBadParams(t *testing.T) {
 	}()
 	(&TruncExp{Mean: 0, Max: 10}).Sample(NewRNG(1, 1))
 }
-
-func TestUniformRange(t *testing.T) {
-	d := &Uniform{Lo: 3, Hi: 7}
-	r := NewRNG(8, 8)
-	sum := 0.0
-	const n = 100_000
-	for i := 0; i < n; i++ {
-		v := d.Sample(r)
-		if v < 3 || v >= 7 {
-			t.Fatalf("sample %v out of [3, 7)", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-5) > 0.05 {
-		t.Errorf("mean = %v, want ~5", mean)
-	}
-}
-
-func TestPoint(t *testing.T) {
-	d := &Point{Value: 42}
-	if v := d.Sample(NewRNG(1, 1)); v != 42 {
-		t.Errorf("Sample() = %v, want 42", v)
-	}
-}
-
-func TestMixtureWeighting(t *testing.T) {
-	m, err := NewMixture(
-		[]Dist{&Point{Value: 1}, &Point{Value: 2}},
-		[]float64{3, 1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRNG(9, 9)
-	const n = 200_000
-	ones := 0
-	for i := 0; i < n; i++ {
-		if m.Sample(r) == 1 {
-			ones++
-		}
-	}
-	got := float64(ones) / n
-	if math.Abs(got-0.75) > 0.01 {
-		t.Errorf("P(component 1) = %v, want ~0.75", got)
-	}
-}
-
-func TestMixtureErrors(t *testing.T) {
-	if _, err := NewMixture(nil, nil); err == nil {
-		t.Error("expected error for empty mixture")
-	}
-	if _, err := NewMixture([]Dist{&Point{}}, []float64{1, 2}); err == nil {
-		t.Error("expected error for length mismatch")
-	}
-	if _, err := NewMixture([]Dist{&Point{}}, []float64{0}); err == nil {
-		t.Error("expected error for zero weights")
-	}
-}
-
-func TestEmpirical(t *testing.T) {
-	e, err := NewEmpirical([]float64{5, 1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRNG(11, 11)
-	seen := map[float64]bool{}
-	for i := 0; i < 1000; i++ {
-		seen[e.Sample(r)] = true
-	}
-	for _, v := range []float64{1, 3, 5} {
-		if !seen[v] {
-			t.Errorf("value %v never sampled", v)
-		}
-	}
-	if len(seen) != 3 {
-		t.Errorf("sampled %d distinct values, want 3", len(seen))
-	}
-}
-
-func TestEmpiricalQuantile(t *testing.T) {
-	e, err := NewEmpirical([]float64{10, 20, 30, 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 10},
-		{0.25, 10},
-		{0.5, 20},
-		{0.75, 30},
-		{1, 40},
-		{-0.1, 10},
-		{1.5, 40},
-	}
-	for _, tt := range tests {
-		if got := e.Quantile(tt.q); got != tt.want {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-}
-
-func TestEmpiricalEmpty(t *testing.T) {
-	if _, err := NewEmpirical(nil); err == nil {
-		t.Error("expected error for empty observations")
-	}
-}

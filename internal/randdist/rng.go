@@ -2,7 +2,7 @@
 // the trace synthesizer and the simulator: a seedable RNG, Zipf weight
 // vectors with arbitrary exponent, a Walker alias-method sampler for
 // finite categorical distributions, and the continuous distributions used
-// by the session model (lognormal, truncated exponential, mixtures).
+// by the session model (lognormal, truncated exponential).
 //
 // Everything in this package is deterministic given a seed, which is what
 // lets an entire simulation be replayed bit-for-bit (the paper fixes peer

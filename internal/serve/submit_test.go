@@ -89,7 +89,8 @@ var submitCases = []struct {
 	{"exponent", `{"records":[{"Duration":1e3}]}`, false},
 	{"int32 max", `{"records":[{"User":2147483647,"Duration":1}]}`, true},
 	{"int32 overflow", `{"records":[{"User":2147483648,"Duration":1}]}`, false},
-	{"int64 max", `{"records":[{"Start":9223372036854775807,"Duration":1}]}`, true},
+	{"int64 max", `{"records":[{"Duration":9223372036854775807}]}`, true},
+	{"end overflows", `{"records":[{"Start":9223372036854775807,"Duration":1}]}`, false},
 	{"int64 overflow", `{"records":[{"Start":9223372036854775808,"Duration":1}]}`, false},
 	{"long number", `{"records":[{"Duration":123456789012345678901234567890}]}`, false},
 	{"leading zero", `{"records":[{"Duration":01}]}`, false},

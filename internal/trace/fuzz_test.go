@@ -31,7 +31,7 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(csv.Bytes())
 	f.Add(gob.Bytes())
 	f.Add([]byte("user,program,start_sec,duration_sec\n3,1,0,60\n1,2,3600,600\n1,2,3600,30\n"))
-	for _, row := range []string{"1,2,18446744074,60,0", "1,2,0,18446744074,0", "1,2,0,60,-18446744073"} {
+	for _, row := range []string{"1,2,18446744074,60,0", "1,2,0,18446744074,0", "1,2,0,60,-18446744073", "1,2,9223372036,60,0"} {
 		f.Add([]byte("user,program,start_sec,duration_sec,offset_sec\n" + row + "\n"))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

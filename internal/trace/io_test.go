@@ -151,6 +151,15 @@ func TestCSVRejectsOverflowingSeconds(t *testing.T) {
 			}
 		}
 	}
+	// A start and a duration that each fit but whose sum, the session's
+	// end, does not is an error naming the line, the start and the
+	// duration.
+	_, err := ReadCSV(strings.NewReader(header + "1,2,0,60,0\n1,2,9223372036,60,0\n"))
+	if err == nil {
+		t.Error("a session ending past the int64 range loaded")
+	} else if msg := err.Error(); !strings.Contains(msg, "line 3") || !strings.Contains(msg, "start") || !strings.Contains(msg, "duration") {
+		t.Errorf("overflowing end: error %q does not name line 3, the start and the duration", msg)
+	}
 	// The largest whole second a duration holds still loads.
 	tr, err := ReadCSV(strings.NewReader(header + "1,2,0,9223372036,0\n"))
 	if err != nil {

@@ -7,6 +7,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 )
@@ -47,6 +48,8 @@ func (r Record) Validate() error {
 		return fmt.Errorf("trace: non-positive duration %v", r.Duration)
 	case r.Offset < 0:
 		return fmt.Errorf("trace: negative offset %v", r.Offset)
+	case r.Duration > math.MaxInt64-r.Start:
+		return fmt.Errorf("trace: session end overflows: start %v plus duration %v", r.Start, r.Duration)
 	default:
 		return nil
 	}

@@ -35,6 +35,7 @@ func TestRecordValidate(t *testing.T) {
 		{"negative program", Record{User: 1, Program: -1, Duration: time.Minute}, true},
 		{"negative start", Record{User: 1, Program: 1, Start: -time.Second, Duration: time.Minute}, true},
 		{"zero duration", Record{User: 1, Program: 1}, true},
+		{"end overflows", Record{User: 1, Program: 1, Start: 9223372036 * time.Second, Duration: time.Minute}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
