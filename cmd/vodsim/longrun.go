@@ -82,8 +82,13 @@ func runScale(tier universe.Config, cfg cablevod.Config) (*cablevod.Result, erro
 				hours/24, tier.Days, submitted, float64(submitted)/elapsed)
 		}
 	}
-	defer printFootprint()
-	return sys.Close()
+	liveHeap := universe.MeasureFootprint().HeapLiveBytes
+	res, err := sys.Close()
+	if err != nil {
+		return nil, err
+	}
+	printFootprint(liveHeap)
+	return res, nil
 }
 
 // runScaleLongRun drives universe.LongRun: the tier's run split into
@@ -95,19 +100,25 @@ func runScaleLongRun(tier universe.Config, cfg cablevod.Config, dir string, legH
 		dir = ".longrun-" + tier.Name
 	}
 	start := time.Now()
+	var liveHeap uint64
 	res, err := universe.LongRun(tier, coreConfig(cfg), universe.LongRunOptions{
 		Dir:     dir,
 		Leg:     time.Duration(legHours) * time.Hour,
 		MaxLegs: maxLegs,
 		OnLeg: func(leg universe.LegInfo) {
-			fmt.Fprintf(os.Stderr, "vodsim: leg %d checkpointed at t=%vh — %d records, %s\n",
-				leg.Leg, leg.At.Hours(), leg.Submitted, leg.Digest)
+			// LongRun calls OnLeg with the engine still open, so this is
+			// the plant's live heap; after LongRun returns, it is gone.
+			liveHeap = universe.MeasureFootprint().HeapLiveBytes
+			fmt.Fprintf(os.Stderr, "vodsim: leg %d checkpointed at t=%vh — %d records, %s, live heap %.1f MB\n",
+				leg.Leg, leg.At.Hours(), leg.Submitted, leg.Digest, float64(liveHeap)/1e6)
 		},
 	})
 	if err != nil {
 		return err
 	}
-	printFootprint()
+	if res.LegsRun > 0 {
+		printFootprint(liveHeap)
+	}
 	if !res.Done {
 		fmt.Printf("longrun paused after %d leg(s) (%d total, t=%vh, %d records)\n",
 			res.LegsRun, res.LegsTotal, res.At.Hours(), res.Submitted)
@@ -121,10 +132,11 @@ func runScaleLongRun(tier universe.Config, cfg cablevod.Config, dir string, legH
 	return nil
 }
 
-// printFootprint reports process memory after a scale run, the number
-// the mega tier's laptop-class claim is judged by.
-func printFootprint() {
-	fp := universe.MeasureFootprint()
-	fmt.Fprintf(os.Stderr, "vodsim: live heap %.0f MB, peak RSS %.0f MB\n",
-		float64(fp.HeapLiveBytes)/1e6, float64(fp.PeakRSSBytes)/1e6)
+// printFootprint reports a scale run's memory, the numbers the mega
+// tier's laptop-class claim is judged by: the live heap read with the
+// engine still open (after the last batch, or at the last checkpoint
+// of a long run) and the process's peak RSS.
+func printFootprint(liveHeap uint64) {
+	fmt.Fprintf(os.Stderr, "vodsim: live heap %.1f MB, peak RSS %.0f MB\n",
+		float64(liveHeap)/1e6, float64(universe.PeakRSS())/1e6)
 }

@@ -18,7 +18,6 @@
 //	vodsim -scenario-file testdata/scenarios/flash-crowd.yaml  # declarative spec + assertions
 //	vodsim -serve :8080 -scenario flash-crowd -accel 86400     # live daemon: /metrics, /snapshot, ...
 //	vodsim -serve :8080 -synth -live 1                         # ingest daemon self-fed day by day
-//	vodsim -synth -synth-days 7 -bench-json                    # Submit-path throughput report (JSON)
 package main
 
 import (
@@ -66,20 +65,17 @@ func run(args []string) (runErr error) {
 		live         = fs.Int("live", 0, "drive the online engine, printing a snapshot every N simulated days")
 		parallel     = fs.Int("parallel", 0, "worker pool for concurrent neighborhood shards (0 = GOMAXPROCS, 1 = serial)")
 
-		serveAddr     = fs.String("serve", "", "run as a live service daemon on ADDR (e.g. :8080): /metrics, /snapshot, /healthz, /submit, /scenario/status; composes with -scenario, -scenario-file, or a -synth/-trace ingest plant (add -live N to self-feed it in N-day batches)")
-		scenarioName  = fs.String("scenario", "", "drive a registered live-workload scenario (see -scenario-list); sized by the -synth-* flags")
-		scenarioFile  = fs.String("scenario-file", "", "run a declarative scenario spec (YAML/JSON, see SCENARIOS.md) and gate on its assertions")
-		scenarioList  = fs.Bool("scenario-list", false, "list registered scenarios and exit")
-		checkpoint    = fs.Int("checkpoint", 24, "simulated hours between scenario checkpoints (0 = none; a -scenario-file spec with assertions must then set its own cadence — assertions never pass over zero checkpoints)")
-		accel         = fs.Float64("accel", 0, "cap scenario virtual time at N seconds per wall second (0 = unthrottled)")
-		snapJSON      = fs.Bool("snapshot-json", false, "print snapshots and checkpoints as JSON lines")
-		snapOut       = fs.String("snapshot-out", "", "save the engine state to FILE mid-run at -snapshot-at (with -scenario or -scenario-file); the file embeds the remaining workload, so it resumes or forks standalone")
-		snapAt        = fs.Int("snapshot-at", 0, "simulated hour of the -snapshot-out state export")
-		snapIn        = fs.String("snapshot-in", "", "load a state file saved by -snapshot-out and resume the run to the end (or race strategies from it: -fork)")
-		forkList      = fs.String("fork", "", "comma-separated caching strategies to fork from the -snapshot-in state and race through the same incident, printing a comparative report")
-		benchJSON     = fs.Bool("bench-json", false, "benchmark the Submit path (serial, sharded, sharded+telemetry) on the fixed bench plant and print one JSON report")
-		benchBaseline = fs.String("bench-baseline", "", "with -bench-json: compare against a committed BENCH_*.json and fail on a >10% bytes/record regression")
-		benchFloor    = fs.Float64("bench-floor", 0, "with -bench-json: fail if serial records/s falls more than PCT percent below the best committed BENCH_*.json in the working directory (0 = no gate)")
+		serveAddr    = fs.String("serve", "", "run as a live service daemon on ADDR (e.g. :8080): /metrics, /snapshot, /healthz, /submit, /scenario/status; composes with -scenario, -scenario-file, or a -synth/-trace ingest plant (add -live N to self-feed it in N-day batches)")
+		scenarioName = fs.String("scenario", "", "drive a registered live-workload scenario (see -scenario-list); sized by the -synth-* flags")
+		scenarioFile = fs.String("scenario-file", "", "run a declarative scenario spec (YAML/JSON, see SCENARIOS.md) and gate on its assertions")
+		scenarioList = fs.Bool("scenario-list", false, "list registered scenarios and exit")
+		checkpoint   = fs.Int("checkpoint", 24, "simulated hours between scenario checkpoints (0 = none; a -scenario-file spec with assertions must then set its own cadence — assertions never pass over zero checkpoints)")
+		accel        = fs.Float64("accel", 0, "cap scenario virtual time at N seconds per wall second (0 = unthrottled)")
+		snapJSON     = fs.Bool("snapshot-json", false, "print snapshots and checkpoints as JSON lines")
+		snapOut      = fs.String("snapshot-out", "", "save the engine state to FILE mid-run at -snapshot-at (with -scenario or -scenario-file); the file embeds the remaining workload, so it resumes or forks standalone")
+		snapAt       = fs.Int("snapshot-at", 0, "simulated hour of the -snapshot-out state export")
+		snapIn       = fs.String("snapshot-in", "", "load a state file saved by -snapshot-out and resume the run to the end (or race strategies from it: -fork)")
+		forkList     = fs.String("fork", "", "comma-separated caching strategies to fork from the -snapshot-in state and race through the same incident, printing a comparative report")
 
 		profileDir = fs.String("profile-dir", "", "capture cpu.pprof and heap.pprof for the run into DIR and print the top-10 hot symbols (bounded runs only; with -serve use -pprof)")
 		pprofFlag  = fs.Bool("pprof", false, "with -serve: expose Go's /debug/pprof endpoints on the daemon for live profiling")
@@ -131,8 +127,8 @@ func run(args []string) (runErr error) {
 		return fmt.Errorf("-longrun splits a universe run into legs; it needs -scale TIER")
 	}
 	if *scale != "" {
-		if *synth || *path != "" || *scenarioName != "" || *scenarioFile != "" || *serveAddr != "" || *live > 0 || *benchJSON || *snapIn != "" || *snapOut != "" {
-			return fmt.Errorf("-scale builds its own plant and workload; it does not compose with -trace, -synth, -scenario, -scenario-file, -serve, -live, -bench-json, or the snapshot flags")
+		if *synth || *path != "" || *scenarioName != "" || *scenarioFile != "" || *serveAddr != "" || *live > 0 || *snapIn != "" || *snapOut != "" {
+			return fmt.Errorf("-scale builds its own plant and workload; it does not compose with -trace, -synth, -scenario, -scenario-file, -serve, -live, or the snapshot flags")
 		}
 	}
 
@@ -183,15 +179,6 @@ func run(args []string) (runErr error) {
 	}
 	if err != nil {
 		return err
-	}
-
-	if *benchJSON {
-		if tr == nil {
-			return fmt.Errorf("-bench-json needs a workload: -synth or -trace FILE")
-		}
-		return runBenchJSON(tr, benchWorkload{
-			Users: *users, Programs: *programs, Days: *days, Seed: *seed,
-		}, *benchBaseline, *profileDir, *benchFloor)
 	}
 
 	// Built-in names parse to the enum; anything else must be a

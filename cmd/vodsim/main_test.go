@@ -130,12 +130,19 @@ func TestRunLive(t *testing.T) {
 // returns what it printed.
 func captureStdout(t *testing.T, fn func() error) string {
 	t.Helper()
-	old := os.Stdout
+	return captureOutput(t, &os.Stdout, fn)
+}
+
+// captureOutput runs fn with *f (os.Stdout or os.Stderr) redirected to
+// a pipe and returns what fn wrote to it.
+func captureOutput(t *testing.T, f **os.File, fn func() error) string {
+	t.Helper()
+	old := *f
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*f = w
 	done := make(chan string)
 	go func() {
 		var buf strings.Builder
@@ -143,7 +150,7 @@ func captureStdout(t *testing.T, fn func() error) string {
 		done <- buf.String()
 	}()
 	errRun := fn()
-	os.Stdout = old
+	*f = old
 	w.Close()
 	out := <-done
 	r.Close()

@@ -16,7 +16,8 @@ import (
 //     frequency, future knowledge, constant recency-only, ...).
 //   - Admission filters which missed programs may enter the cache at
 //     all (bypass-on-first-touch, size caps).
-//   - Tiebreak orders programs that share a score (LRU or FIFO).
+//   - Tiebreak orders programs that share a score (LRU or FIFO; see
+//     TiebreakFIFO for what FIFO keeps under a changing score).
 //   - Planner chooses which segments of an admitted program to keep —
 //     prefix depth and replica count — instead of all-or-nothing.
 //
@@ -142,8 +143,14 @@ const (
 	// TiebreakLRU refreshes a cached program's recency on every request
 	// — the paper's rule and the default.
 	TiebreakLRU Tiebreak = iota
-	// TiebreakFIFO keeps insertion order within a score: requests do
-	// not refresh recency, so equal-scored programs evict oldest-first.
+	// TiebreakFIFO does not refresh recency on a request, so programs
+	// keep their order within a score while their scores hold. A
+	// program whose score changes joins its new score's group at the
+	// most-recent end on a rise and at the least-recent end on a decay.
+	// Under a constant scorer equal-scored programs therefore evict in
+	// insertion order; under frequency scoring every request raises a
+	// count, so equal scores end up ordered by last request, as under
+	// TiebreakLRU.
 	TiebreakFIFO
 )
 
@@ -319,9 +326,11 @@ func (pl *Pipeline) request(p trace.ProgramID, now time.Duration) Key {
 	return k
 }
 
-// CandidateValue returns the scorer's value for the uncached candidate.
+// CandidateValue returns the scorer's value for the uncached candidate
+// at now, advancing the scorer to now first.
 func (pl *Pipeline) CandidateValue(p trace.ProgramID, now time.Duration) int {
-	return pl.scoreKey(pl.tab.lookup(p), p, now)
+	pl.scorer.Advance(now)
+	return pl.candidate(pl.tab.lookup(p), p, now)
 }
 
 func (pl *Pipeline) candidate(k Key, p trace.ProgramID, now time.Duration) int {
@@ -345,8 +354,10 @@ func (pl *Pipeline) PlacementPlan(p trace.ProgramID, now time.Duration, def Plan
 	return pl.planner.PlacementPlan(p, now, def)
 }
 
-// OnAdmit starts tracking p at its current score.
+// OnAdmit starts tracking p at its score at now, advancing the scorer
+// to now first.
 func (pl *Pipeline) OnAdmit(p trace.ProgramID, now time.Duration) {
+	pl.scorer.Advance(now)
 	pl.admit(pl.tab.lookup(p), p, now)
 }
 

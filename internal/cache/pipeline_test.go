@@ -241,32 +241,113 @@ func TestSecondTouchAdmission(t *testing.T) {
 	}
 }
 
-// TestTiebreakFIFO pins the insertion-order tiebreak: requests do not
+// TestTiebreakFIFO pins what each tiebreak keeps within a score. Under
+// a constant scorer, FIFO keeps insertion order: requests do not
 // refresh recency, so equal-scored programs evict oldest-first even
-// when the oldest was just re-requested.
+// when the oldest was just re-requested. Under a frequency scorer a
+// request raises the program's count, which moves it to the
+// most-recent end of its new score's group, so FIFO orders equal
+// scores by last request, as LRU does.
 func TestTiebreakFIFO(t *testing.T) {
-	for _, tb := range []Tiebreak{TiebreakLRU, TiebreakFIFO} {
-		pl, err := NewPipeline(PipelineConfig{Name: "tb", Scorer: NewConstantScorer("recency-only", 0), Tiebreak: tb})
-		if err != nil {
-			t.Fatal(err)
+	type access struct {
+		p  trace.ProgramID
+		at time.Duration
+	}
+	cases := []struct {
+		name   string
+		scorer func() Scorer
+		// accesses fill a 2-program cache; the last one must admit by
+		// evicting one program.
+		accesses []access
+		// evicted is the victim by tiebreak.
+		evicted map[Tiebreak]trace.ProgramID
+	}{{
+		name:   "constant",
+		scorer: func() Scorer { return NewConstantScorer("recency-only", 0) },
+		accesses: []access{
+			{1, 0}, {2, time.Minute},
+			{1, 2 * time.Minute}, // refreshes 1 under LRU only
+			{3, 3 * time.Minute},
+		},
+		// LRU: 2 is least recent. FIFO: 1 was inserted first.
+		evicted: map[Tiebreak]trace.ProgramID{TiebreakLRU: 2, TiebreakFIFO: 1},
+	}, {
+		name: "frequency",
+		scorer: func() Scorer {
+			sc, err := NewFrequencyScorer(24 * time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sc
+		},
+		accesses: []access{
+			{1, 0}, {2, time.Minute},
+			{2, 2 * time.Minute}, {1, 3 * time.Minute}, // both count 2, 1 last
+			{3, 4 * time.Minute}, // count 1: refused
+			{3, 5 * time.Minute}, // count 2: ties admit
+		},
+		// Both: 2 was requested least recently, though 1 was inserted
+		// first.
+		evicted: map[Tiebreak]trace.ProgramID{TiebreakLRU: 2, TiebreakFIFO: 2},
+	}}
+	for _, tc := range cases {
+		for _, tb := range []Tiebreak{TiebreakLRU, TiebreakFIFO} {
+			pl, err := NewPipeline(PipelineConfig{Name: "tb", Scorer: tc.scorer(), Tiebreak: tb})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := New(2*units.MB, pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res AccessResult
+			for _, a := range tc.accesses {
+				res = c.Access(a.p, units.MB, a.at)
+			}
+			if !res.Admitted || len(res.Evicted) != 1 {
+				t.Fatalf("%s/%v: last admission = %+v, want 1 eviction", tc.name, tb, res)
+			}
+			if want := tc.evicted[tb]; res.Evicted[0] != want {
+				t.Errorf("%s/%v: evicted %d, want %d", tc.name, tb, res.Evicted[0], want)
+			}
 		}
-		c, err := New(2*units.MB, pl)
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestPipelineEntryPointsAdvance pins that CandidateValue and OnAdmit,
+// called outside Cache.Access, read the score at their own instant:
+// each advances the scorer to now before it reads.
+func TestPipelineEntryPointsAdvance(t *testing.T) {
+	cases := []struct {
+		name          string
+		pipeline      func() *Pipeline
+		requested, at time.Duration
+		want          int
+	}{
+		// The 30 min publication at 31 min makes the 1 min request visible.
+		{"global-lfu 30m lag", func() *Pipeline {
+			return newGlobalLFU(t, mustGlobal(t, 24*time.Hour, 30*time.Minute))
+		}, time.Minute, 31 * time.Minute, 1},
+		// A 1 h history forgets the request by 2 h.
+		{"lfu 1h history", func() *Pipeline { return newLFU(t, time.Hour) }, 0, 2 * time.Hour, 0},
+	}
+	for _, tc := range cases {
+		pl := tc.pipeline()
+		pl.OnRequest(1, tc.requested)
+		if got := pl.CandidateValue(1, tc.at); got != tc.want {
+			t.Errorf("%s: CandidateValue = %d, want %d", tc.name, got, tc.want)
 		}
-		c.Access(1, units.MB, 0)
-		c.Access(2, units.MB, time.Minute)
-		c.Access(1, units.MB, 2*time.Minute) // refreshes 1 under LRU only
-		res := c.Access(3, units.MB, 3*time.Minute)
-		if !res.Admitted || len(res.Evicted) != 1 {
-			t.Fatalf("tiebreak %v: admission = %+v, want 1 eviction", tb, res)
-		}
-		want := trace.ProgramID(2) // LRU: 2 is least recent
-		if tb == TiebreakFIFO {
-			want = 1 // FIFO: 1 was inserted first
-		}
-		if res.Evicted[0] != want {
-			t.Errorf("tiebreak %v: evicted %d, want %d", tb, res.Evicted[0], want)
+
+		pl = tc.pipeline()
+		pl.OnRequest(1, tc.requested)
+		pl.OnAdmit(1, tc.at)
+		var scores []int
+		pl.EvictionOrder(func(_ trace.ProgramID, v int) bool {
+			scores = append(scores, v)
+			return true
+		})
+		if len(scores) != 1 || scores[0] != tc.want {
+			t.Errorf("%s: tracked scores after OnAdmit = %v, want [%d]", tc.name, scores, tc.want)
 		}
 	}
 }

@@ -1,14 +1,12 @@
 // Package perf is the repo's performance-engineering subsystem: it
-// captures CPU and heap profiles around Submit-driven runs, extracts
-// top-N hot-symbol tables from them without external tooling, and keeps
-// the committed BENCH_*.json series honest as a performance trajectory
-// (load, diff, render, and gate against regressions).
+// captures CPU and heap profiles around Submit-driven runs and extracts
+// top-N hot-symbol tables from them without external tooling.
 //
 // The package exists so performance work is mechanical rather than
 // artisanal: `vodsim -profile-dir` drops cpu.pprof/heap.pprof next to
-// any run, TopTable turns them into the markdown tables EXPERIMENTS.md
-// commits, and the trajectory ledger turns the BENCH series into a CI
-// floor gate alongside the existing memory gate.
+// any bounded run, TopTable turns them into the markdown tables
+// EXPERIMENTS.md commits, and the benchmark (bench/) attributes a traced
+// pass's CPU time to layers through Parse.
 package perf
 
 import (

@@ -196,28 +196,3 @@ func TestLongRunRejectsForeignSnapshot(t *testing.T) {
 		t.Fatal("foreign snapshot behind a matching ledger accepted")
 	}
 }
-
-// TestMemoryProbe exercises the accounting harness on the quick tier:
-// numbers must be present and sane, not asserted to exact values.
-func TestMemoryProbe(t *testing.T) {
-	quick, err := Tier("quick")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := MemoryProbe(quick, core.Config{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Records == 0 {
-		t.Fatal("probe streamed no records")
-	}
-	if rep.BytesPerRecord <= 0 || rep.AllocsPerRecord < 0 {
-		t.Fatalf("implausible per-record accounting: %+v", rep)
-	}
-	if rep.HeapLiveBytes == 0 {
-		t.Fatal("no steady-state heap reading")
-	}
-	if !strings.Contains(rep.String(), "bytes/record") {
-		t.Fatal("report rendering lost its fields")
-	}
-}

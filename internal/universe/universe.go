@@ -10,9 +10,9 @@
 // engine's hot per-session state, which internal/core keeps in
 // shard-owned slabs for exactly this reason. The package adds the
 // remaining discipline: a compact Interner for dense ID spaces, a
-// memory-accounting probe (Footprint, MemoryProbe) that reports bytes
-// per subscriber, and LongRun, which splits a multi-day run into
-// resumable legs checkpointed through core.SaveStateFile.
+// process memory reading (MeasureFootprint, PeakRSS), and LongRun,
+// which splits a multi-day run into resumable legs checkpointed
+// through core.SaveStateFile.
 //
 // Determinism contract: a tier's runs are bit-identical across
 // engine parallelism and across checkpoint/resume boundaries. The

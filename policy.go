@@ -51,8 +51,12 @@ const (
 	// TiebreakLRU refreshes recency on every request (the paper's rule,
 	// default).
 	TiebreakLRU = cache.TiebreakLRU
-	// TiebreakFIFO keeps insertion order: equal-scored programs evict
-	// oldest-first.
+	// TiebreakFIFO does not refresh recency on a request. Under a
+	// constant score, equal-scored programs evict in insertion order;
+	// a program whose score changes joins its new score's group at the
+	// most-recent end (rise) or least-recent end (decay), so under
+	// frequency scoring, where every request raises a count, equal
+	// scores end up ordered by last request, as under TiebreakLRU.
 	TiebreakFIFO = cache.TiebreakFIFO
 )
 
