@@ -17,14 +17,14 @@ var liveHeapLine = regexp.MustCompile(`live heap ([0-9.]+) MB`)
 // the engine closed shows only what the process keeps without it.
 func TestScaleReportsOpenEngineHeap(t *testing.T) {
 	quietStdout(t)
-	tier := []string{"-scale", "mega-lite", "-synth-days", "1"}
 	cases := []struct {
 		name     string
 		args     []string
 		readings int // one per leg plus the final line
 	}{
-		{"single pass", tier, 1},
-		{"longrun", append(tier[:len(tier):len(tier)], "-longrun", "-longrun-dir", t.TempDir(), "-leg", "12"), 3},
+		{"single pass", []string{"-scale", "mega-lite", "-synth-days", "1"}, 1},
+		{"longrun", []string{"-scale", "mega-lite", "-synth-days", "1",
+			"-longrun", "-longrun-dir", t.TempDir(), "-leg", "12"}, 3},
 	}
 	for _, tc := range cases {
 		log := captureOutput(t, &os.Stderr, func() error { return run(tc.args) })
