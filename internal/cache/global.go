@@ -31,8 +31,7 @@ type Global struct {
 	lag     time.Duration
 
 	counts map[trace.ProgramID]int
-	expiry []expiryEvent
-	head   int
+	expiry fifo[expiryEvent]
 	now    time.Duration
 
 	// published is the snapshot policies see when lag > 0; version ticks
@@ -98,7 +97,7 @@ func (g *Global) Coordinate() error {
 	if g.lag <= 0 {
 		return fmt.Errorf("cache: live global feed (lag 0) couples neighborhoods per request and cannot be barrier-coordinated")
 	}
-	if g.now != 0 || len(g.expiry) != 0 || len(g.counts) != 0 {
+	if g.now != 0 || g.expiry.len() != 0 || len(g.counts) != 0 {
 		return fmt.Errorf("cache: Coordinate must be called before any traffic")
 	}
 	g.coordinated = true
@@ -131,7 +130,7 @@ func (g *Global) Sync(now time.Duration) {
 	sort.Slice(batch, func(i, j int) bool { return batch[i].at < batch[j].at })
 	for _, e := range batch {
 		g.counts[e.program]++
-		g.expiry = append(g.expiry, e)
+		g.expiry.push(e)
 	}
 	if now > g.now {
 		g.now = now
@@ -153,19 +152,13 @@ func (g *Global) advance(now time.Duration) {
 
 // expireTo drops window entries at or before now.
 func (g *Global) expireTo(now time.Duration) {
-	for g.head < len(g.expiry) && g.expiry[g.head].at <= now {
-		e := g.expiry[g.head]
-		g.head++
+	for g.expiry.len() > 0 && g.expiry.at(0).at <= now {
+		e := g.expiry.pop()
 		g.counts[e.program]--
 		if g.counts[e.program] <= 0 {
 			delete(g.counts, e.program)
 		}
 		g.notify(e.program)
-	}
-	if g.head > 1024 && g.head*2 > len(g.expiry) {
-		n := copy(g.expiry, g.expiry[g.head:])
-		g.expiry = g.expiry[:n]
-		g.head = 0
 	}
 }
 
@@ -185,7 +178,7 @@ func (g *Global) record(p trace.ProgramID, now time.Duration) {
 		return
 	}
 	g.counts[p]++
-	g.expiry = append(g.expiry, expiryEvent{program: p, at: now + g.history})
+	g.expiry.push(expiryEvent{program: p, at: now + g.history})
 	g.notify(p)
 }
 

@@ -57,8 +57,7 @@ type frequencyScorer struct {
 	// plain queue suffices to decay counts as the window slides. Each
 	// entry carries the key it was counted under (its pending count
 	// keeps the key live until it expires).
-	expiry []keyedExpiry
-	head   int
+	expiry fifo[keyedExpiry]
 	now    time.Duration
 }
 
@@ -116,20 +115,14 @@ func (f *frequencyScorer) Advance(now time.Duration) {
 		panic(fmt.Sprintf("cache: frequency scorer time went backwards: %v < %v", now, f.now))
 	}
 	f.now = now
-	for f.head < len(f.expiry) && f.expiry[f.head].at <= now {
-		k := f.expiry[f.head].key
-		f.head++
+	for f.expiry.len() > 0 && f.expiry.at(0).at <= now {
+		k := f.expiry.pop().key
 		c := f.counts[k] - 1
 		f.counts[k] = c
 		pushKey(f.up, f.sink, f.tab, k, int(c))
 		if c == 0 {
 			f.tab.release(k, holdCounted)
 		}
-	}
-	if f.head > 1024 && f.head*2 > len(f.expiry) {
-		n := copy(f.expiry, f.expiry[f.head:])
-		f.expiry = f.expiry[:n]
-		f.head = 0
 	}
 }
 
@@ -145,7 +138,7 @@ func (f *frequencyScorer) requestKey(p trace.ProgramID, now time.Duration) Key {
 	k := f.tab.acquire(p, holdCounted)
 	f.counts = GrowKeyed(f.counts, k)
 	f.counts[k]++
-	f.expiry = append(f.expiry, keyedExpiry{key: k, at: now + f.history})
+	f.expiry.push(keyedExpiry{key: k, at: now + f.history})
 	return k
 }
 

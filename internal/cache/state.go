@@ -112,8 +112,9 @@ func (c *Cache) SetCapacity(capacity units.ByteSize) ([]trace.ProgramID, error) 
 // (a live cross-neighborhood feed) fail SnapshotState with a clear error
 // instead of silently snapshotting half their state.
 type Snapshottable interface {
-	// SnapshotState serializes the policy's complete decision state.
-	SnapshotState() ([]byte, error)
+	// AppendState appends the policy's complete decision state,
+	// serialized, to dst.
+	AppendState(dst []byte) ([]byte, error)
 	// RestoreState rebuilds the state into a freshly constructed policy
 	// of the same composition that has seen no traffic.
 	RestoreState(data []byte) error
@@ -161,10 +162,16 @@ type handCoded interface {
 // every stateful stage into one buffer of the blob's exact size. It
 // fails when a composed stage cannot serialize its state (the global
 // popularity feed).
-func (pl *Pipeline) SnapshotState() ([]byte, error) {
+func (pl *Pipeline) SnapshotState() ([]byte, error) { return pl.AppendState(nil) }
+
+// AppendState is SnapshotState appending the blob to dst. A dst without
+// the room is grown once: to exactly the blob's size when it has no
+// capacity, else to at least twice its capacity, so a buffer reused
+// across pipelines settles at the largest blob.
+func (pl *Pipeline) AppendState(dst []byte) ([]byte, error) {
 	ss, ok := pl.scorer.(stageSnapshotter)
 	if !ok {
-		return nil, fmt.Errorf("cache: pipeline %q: scorer %q does not support state snapshot", pl.name, pl.scorer.Name())
+		return dst, fmt.Errorf("cache: pipeline %q: scorer %q does not support state snapshot", pl.name, pl.scorer.Name())
 	}
 	var scorer, admission []byte
 	var err error
@@ -175,17 +182,17 @@ func (pl *Pipeline) SnapshotState() ([]byte, error) {
 		scorerLen = freqBlob.size(scorerBody)
 	} else {
 		if scorer, err = ss.snapshotStage(); err != nil {
-			return nil, fmt.Errorf("cache: pipeline %q: scorer: %w", pl.name, err)
+			return dst, fmt.Errorf("cache: pipeline %q: scorer: %w", pl.name, err)
 		}
 		scorerLen = len(scorer)
 	}
 	if pl.admission != nil {
 		as, ok := pl.admission.(stageSnapshotter)
 		if !ok {
-			return nil, fmt.Errorf("cache: pipeline %q: admission %q does not support state snapshot", pl.name, pl.admission.Name())
+			return dst, fmt.Errorf("cache: pipeline %q: admission %q does not support state snapshot", pl.name, pl.admission.Name())
 		}
 		if admission, err = as.snapshotStage(); err != nil {
-			return nil, fmt.Errorf("cache: pipeline %q: admission: %w", pl.name, err)
+			return dst, fmt.Errorf("cache: pipeline %q: admission: %w", pl.name, err)
 		}
 	}
 
@@ -209,7 +216,10 @@ func (pl *Pipeline) SnapshotState() ([]byte, error) {
 		fields += 2 // HasAdmission
 	}
 	body := pipelineBlob.msgBody(fields)
-	b := pipelineBlob.begin(make([]byte, 0, pipelineBlob.size(body)), body)
+	if n := pipelineBlob.size(body); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, max(len(dst)+n, 2*cap(dst))), dst...)
+	}
+	b := pipelineBlob.begin(dst, body)
 	last := -1
 	if entries > 0 {
 		b = appendGobField(b, &last, 0)
@@ -369,9 +379,10 @@ func (f *frequencyScorer) stateBody() int {
 	if f.now != 0 {
 		fields += 1 + gobIntLen(int64(f.now))
 	}
-	if pending := f.expiry[f.head:]; len(pending) > 0 {
-		fields += 1 + gobUintLen(uint64(len(pending)))
-		for _, e := range pending {
+	if n := f.expiry.len(); n > 0 {
+		fields += 1 + gobUintLen(uint64(n))
+		for i := range n {
+			e := f.expiry.at(i)
 			fields += gobPairLen(int64(f.tab.program(e.key)), int64(e.at))
 		}
 	}
@@ -385,10 +396,11 @@ func (f *frequencyScorer) appendState(b []byte, body int) []byte {
 		b = appendGobField(b, &last, 0)
 		b = appendGobInt(b, int64(f.now))
 	}
-	if pending := f.expiry[f.head:]; len(pending) > 0 {
+	if n := f.expiry.len(); n > 0 {
 		b = appendGobField(b, &last, 1)
-		b = appendGobUint(b, uint64(len(pending)))
-		for _, e := range pending {
+		b = appendGobUint(b, uint64(n))
+		for i := range n {
+			e := f.expiry.at(i)
 			b = appendGobPair(b, int64(f.tab.program(e.key)), int64(e.at))
 		}
 	}
@@ -403,8 +415,7 @@ func (f *frequencyScorer) restoreStage(data []byte) error {
 		return err
 	}
 	f.now = 0
-	f.head = 0
-	f.expiry = f.expiry[:0]
+	f.expiry.reset()
 	for k, c := range f.counts {
 		if c > 0 {
 			f.tab.release(Key(k), holdCounted)
@@ -417,7 +428,6 @@ func (f *frequencyScorer) restoreStage(data []byte) error {
 			continue
 		}
 		n := r.count()
-		f.expiry = slices.Grow(f.expiry, n)
 		for range n {
 			p, at := r.pair()
 			if r.err != nil {
@@ -426,7 +436,7 @@ func (f *frequencyScorer) restoreStage(data []byte) error {
 			k := f.tab.acquire(trace.ProgramID(p), holdCounted)
 			f.counts = GrowKeyed(f.counts, k)
 			f.counts[k]++
-			f.expiry = append(f.expiry, keyedExpiry{key: k, at: time.Duration(at)})
+			f.expiry.push(keyedExpiry{key: k, at: time.Duration(at)})
 		}
 	}
 	return r.end()

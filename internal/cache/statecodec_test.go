@@ -50,7 +50,8 @@ func refSnapshot(t testing.TB, pl *Pipeline) []byte {
 	})
 	if f := freqOf(pl.scorer); f != nil {
 		fs := frequencyScorerState{Now: f.now}
-		for _, e := range f.expiry[f.head:] {
+		for i := range f.expiry.len() {
+			e := f.expiry.at(i)
 			fs.Pending = append(fs.Pending, frequencyAccessState{Program: f.tab.program(e.key), At: e.at})
 		}
 		st.Scorer = mustGob(t, &fs)
@@ -87,7 +88,7 @@ func refRestore(pl *Pipeline, data []byte) error {
 			k := f.tab.acquire(a.Program, holdCounted)
 			f.counts = GrowKeyed(f.counts, k)
 			f.counts[k]++
-			f.expiry = append(f.expiry, keyedExpiry{key: k, at: a.At})
+			f.expiry.push(keyedExpiry{key: k, at: a.At})
 		}
 	} else if err := pl.scorer.(stageSnapshotter).restoreStage(st.Scorer); err != nil {
 		return err
@@ -122,7 +123,8 @@ func liveOf(pl *Pipeline) liveState {
 	})
 	if f := freqOf(pl.scorer); f != nil {
 		ls.Now = f.now
-		for _, e := range f.expiry[f.head:] {
+		for i := range f.expiry.len() {
+			e := f.expiry.at(i)
 			ls.Pending = append(ls.Pending, frequencyAccessState{Program: f.tab.program(e.key), At: e.at})
 		}
 		ls.Counts = map[trace.ProgramID]int32{}

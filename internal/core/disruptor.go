@@ -248,7 +248,9 @@ func (is *IndexServer) ApplyPeerCapacities(caps []units.ByteSize) int {
 					}
 					kept = append(kept, pi)
 				}
-				pp.segment(idx)[0] = int32(len(kept))
+				for i := len(kept); i < len(copies); i++ {
+					copies[i] = -1
+				}
 			}
 		}
 	}

@@ -111,14 +111,16 @@ type IndexServer struct {
 // program was admitted under and the peers holding each cached segment.
 // The zero value is "not placed".
 type programPlacement struct {
-	// cells holds, per cached segment, stride cells: a copy count, then
-	// the neighborhood peer indexes (positions in Neighborhood.Peers,
-	// equal to box ID.Index) storing a copy, one per placed replica.
-	// Copies sit on distinct peers, so an admitted placement's stride is
-	// fullStride(replicas); a restored one is only as wide as the copies
-	// it carries and widens on the first fill past that. One int32 array
-	// per program keeps the copies out of the garbage collector's
-	// pointer scan, and a segment request reaches them in one hop.
+	// cells holds, per cached segment, stride cells of neighborhood peer
+	// indexes (positions in Neighborhood.Peers, equal to box ID.Index)
+	// storing a copy, filled from the front; -1 marks an empty cell, so
+	// a segment's copies are its filled prefix. Copies sit on distinct
+	// peers, so an admitted placement's stride is fullStride(replicas):
+	// one cell per segment under the paper's single-replica plan. A
+	// restored one is only as wide as its widest row and widens on the
+	// first fill past that. One int32 array per program keeps the copies
+	// out of the garbage collector's pointer scan, and a segment request
+	// reaches them in one hop.
 	cells  []int32
 	stride int32
 	// replicas is the plan's copy count per segment; 0 means not placed.
@@ -141,34 +143,46 @@ func (pp *programPlacement) has(idx int) bool {
 	return idx >= 0 && idx*int(pp.stride) < len(pp.cells)
 }
 
-// segment returns the cells of segment idx (in range): the copy count,
-// then room for the copies.
+// segment returns the cells of segment idx (in range).
 func (pp *programPlacement) segment(idx int) []int32 {
 	base := idx * int(pp.stride)
 	return pp.cells[base : base+int(pp.stride)]
 }
 
-// copies returns the peers holding segment idx (in range).
+// copies returns the peers holding segment idx (in range): the filled
+// prefix of its cells.
 func (pp *programPlacement) copies(idx int) []int32 {
 	c := pp.segment(idx)
-	return c[1 : 1+c[0]]
+	n := 0
+	for n < len(c) && c[n] >= 0 {
+		n++
+	}
+	return c[:n]
+}
+
+// emptyCells returns n cells marked empty.
+func emptyCells(n int) []int32 {
+	cells := make([]int32, n)
+	for i := range cells {
+		cells[i] = -1
+	}
+	return cells
 }
 
 // restride lays pp's cells out again at the given stride, which holds
 // every segment's copies.
 func (pp *programPlacement) restride(stride int) {
-	cells := make([]int32, pp.segs()*stride)
+	cells := emptyCells(pp.segs() * stride)
 	for idx := range pp.segs() {
-		c := pp.segment(idx)
-		copy(cells[idx*stride:], c[:1+c[0]])
+		copy(cells[idx*stride:], pp.copies(idx))
 	}
 	pp.cells, pp.stride = cells, int32(stride)
 }
 
 // fullStride is the cells per segment of a placement with the given
-// replica count: the count, then at most one copy per peer.
+// replica count: at most one copy per peer.
 func (is *IndexServer) fullStride(replicas int) int {
-	return 1 + min(replicas, len(is.nb.Peers()))
+	return min(replicas, len(is.nb.Peers()))
 }
 
 // newPlacement allocates an unfilled placement of segs segments with up
@@ -176,7 +190,7 @@ func (is *IndexServer) fullStride(replicas int) int {
 func (is *IndexServer) newPlacement(segs, replicas int) programPlacement {
 	stride := is.fullStride(replicas)
 	return programPlacement{
-		cells:    make([]int32, segs*stride),
+		cells:    emptyCells(segs * stride),
 		stride:   int32(stride),
 		replicas: int32(replicas),
 	}
@@ -186,12 +200,11 @@ func (is *IndexServer) newPlacement(segs, replicas int) programPlacement {
 // caller picked pi outside the segment's current copies and below the
 // plan's replica count, so a full-stride segment has room for it.
 func (is *IndexServer) addCopy(pp *programPlacement, idx int, pi int32) {
-	if c := pp.segment(idx); int(c[0])+1 == len(c) {
+	n := len(pp.copies(idx))
+	if n == int(pp.stride) {
 		pp.restride(is.fullStride(int(pp.replicas)))
 	}
-	c := pp.segment(idx)
-	c[1+c[0]] = pi
-	c[0]++
+	pp.segment(idx)[n] = pi
 }
 
 // NewIndexServer builds the index server for one neighborhood. The cache

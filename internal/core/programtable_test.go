@@ -319,10 +319,10 @@ func TestRestoredPlacementSizedByCopies(t *testing.T) {
 func TestAddCopyWidensNarrowPlacement(t *testing.T) {
 	nb := buildNeighborhood(t, 4, units.GB)
 	is := newIS(t, nb, FillOnBroadcast)
-	pp := programPlacement{cells: []int32{1, 2, 0, 0, 1, 3}, stride: 2, replicas: 3}
+	pp := programPlacement{cells: []int32{2, -1, 3}, stride: 1, replicas: 3}
 	is.addCopy(&pp, 0, 1)
-	if pp.stride != 4 {
-		t.Fatalf("stride after widening = %d, want 1 + min(3 replicas, 4 boxes) = 4", pp.stride)
+	if pp.stride != 3 {
+		t.Fatalf("stride after widening = %d, want min(3 replicas, 4 boxes) = 3", pp.stride)
 	}
 	want := [][]int32{{2, 1}, {}, {3}}
 	if pp.segs() != len(want) {
@@ -331,6 +331,51 @@ func TestAddCopyWidensNarrowPlacement(t *testing.T) {
 	for idx, w := range want {
 		if got := pp.copies(idx); !slices.Equal(got, w) {
 			t.Errorf("segment %d copies = %v, want %v", idx, got, w)
+		}
+	}
+}
+
+// TestSingleReplicaPlacementOneCellPerSegment: under the paper's
+// single-replica plan a placement holds one cell per cached segment,
+// under either fill mode, and a restore keeps that width.
+func TestSingleReplicaPlacementOneCellPerSegment(t *testing.T) {
+	tr := snapshotTestTrace(t)
+	for _, fill := range []FillMode{FillImmediate, FillOnBroadcast} {
+		cfg := snapshotTestConfig("lfu", 1)
+		cfg.Fill = fill
+		sys, err := NewSystem(cfg, WorkloadFromTrace(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.SubmitBatch(tr.Records[:len(tr.Records)/2]); err != nil {
+			t.Fatal(err)
+		}
+		st, err := sys.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreSystem(st, RestoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range map[string]*System{"live": sys, "restored": restored} {
+			placed := 0
+			for _, sh := range s.shards {
+				for k := range sh.is.placement {
+					pp := &sh.is.placement[k]
+					if pp.replicas == 0 {
+						continue
+					}
+					placed++
+					if pp.stride != 1 || len(pp.cells) != pp.segs() {
+						t.Fatalf("fill %v, %s: placement of %d segments holds %d cells at stride %d, want one per segment",
+							fill, name, pp.segs(), len(pp.cells), pp.stride)
+					}
+				}
+			}
+			if placed == 0 {
+				t.Fatalf("fill %v, %s: nothing placed", fill, name)
+			}
 		}
 	}
 }

@@ -293,12 +293,15 @@ func (c *stateCollector) Shard(sh *ShardState) error {
 	return nil
 }
 
-// exportScratch is the memory a shard's export cuts its slices from,
-// plus the session index it dedupes sessions with. A fresh one gives a
-// shard memory of its own; one reused from shard to shard makes an
-// export's garbage that of a single shard.
+// exportScratch is the memory a shard's export cuts its slices, meter
+// maps and policy blob from, plus the session index it dedupes sessions
+// with. A fresh one gives a shard memory of its own; one reused from
+// shard to shard makes an export's garbage that of a single shard.
 type exportScratch struct {
 	sessIdx    map[*session]int
+	meters     [3]map[int64]int64
+	pending    []eventq.PendingEvent
+	policy     []byte
 	events     []EventState
 	sessions   []SessionState
 	peers      []PeerState
@@ -331,6 +334,9 @@ func nilIfEmpty[T any](s []T) []T {
 
 func (sh *shard) exportState(x *exportScratch) (ShardState, error) {
 	now, nextSeq, executed := sh.queue.State()
+	x.meters[0] = sh.serverMeter.BucketsInto(x.meters[0])
+	x.meters[1] = sh.demandMeter.BucketsInto(x.meters[1])
+	x.meters[2] = sh.coaxMeter.BucketsInto(x.meters[2])
 	st := ShardState{
 		Neighborhood:  sh.nb.ID(),
 		QueueNow:      now,
@@ -338,9 +344,9 @@ func (sh *shard) exportState(x *exportScratch) (ShardState, error) {
 		Executed:      executed,
 		Active:        sh.active,
 		Counters:      sh.counters,
-		ServerBuckets: sh.serverMeter.Buckets(),
-		DemandBuckets: sh.demandMeter.Buckets(),
-		CoaxBuckets:   sh.coaxMeter.Buckets(),
+		ServerBuckets: x.meters[0],
+		DemandBuckets: x.meters[1],
+		CoaxBuckets:   x.meters[2],
 		ObsHour:       sh.obsHour,
 		ObsServerRate: sh.obsServerRate,
 	}
@@ -353,7 +359,8 @@ func (sh *shard) exportState(x *exportScratch) (ShardState, error) {
 	} else {
 		clear(x.sessIdx)
 	}
-	pending := sh.queue.Export()
+	pending := sh.queue.AppendPending(reuseSlice(x.pending, sh.queue.Len()))
+	x.pending = pending
 	events, sessions := reuseSlice(x.events, len(pending)), reuseSlice(x.sessions, 0)
 	ends := 0
 	for _, pe := range pending {
@@ -411,10 +418,11 @@ func (is *IndexServer) exportState(x *exportScratch) (IndexState, error) {
 	if !ok {
 		return IndexState{}, fmt.Errorf("strategy policy %q does not support state snapshots", is.cache.Policy().Name())
 	}
-	policy, err := snap.SnapshotState()
+	policy, err := snap.AppendState(x.policy[:0])
 	if err != nil {
 		return IndexState{}, err
 	}
+	x.policy = policy
 	x.entries = is.cache.AppendEntries(reuseSlice(x.entries, is.cache.Len()))
 	st := IndexState{
 		Entries:    x.entries,
@@ -693,7 +701,7 @@ func (is *IndexServer) restoreState(st IndexState, now time.Duration, seed bool)
 		}
 		widest := 0
 		for idx, copies := range ps.Slots {
-			if len(copies) >= is.fullStride(ps.Replicas) {
+			if len(copies) > is.fullStride(ps.Replicas) {
 				return fmt.Errorf("program %d segment %d has %d copies for %d replicas on %d boxes", ps.Program, idx, len(copies), ps.Replicas, len(peers))
 			}
 			for _, pi := range copies {
@@ -710,11 +718,12 @@ func (is *IndexServer) restoreState(st IndexState, now time.Duration, seed bool)
 			}
 			widest = max(widest, len(copies))
 		}
-		// The cells are sized from the copies the row carries, not from
-		// its replica count: a fill past them widens the placement.
+		// The cells are sized from the copies the rows carry, not from
+		// the replica count: a fill past them widens the placement.
+		widest = max(widest, 1)
 		pp := programPlacement{
-			cells:        make([]int32, len(ps.Slots)*(1+widest)),
-			stride:       int32(1 + widest),
+			cells:        emptyCells(len(ps.Slots) * widest),
+			stride:       int32(widest),
 			replicas:     int32(ps.Replicas),
 			rejectedSegs: int32(ps.RejectedSegs),
 			rejectedReps: int32(ps.RejectedReps),
@@ -722,9 +731,8 @@ func (is *IndexServer) restoreState(st IndexState, now time.Duration, seed bool)
 		}
 		for idx, copies := range ps.Slots {
 			c := pp.segment(idx)
-			c[0] = int32(len(copies))
 			for i, pi := range copies {
-				c[1+i] = int32(pi)
+				c[i] = int32(pi)
 			}
 		}
 		is.placement = cache.GrowKeyed(is.placement, k)

@@ -168,14 +168,6 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	if len(w.Users) == 0 {
 		return nil, fmt.Errorf("core: workload has no subscribers")
 	}
-	seen := make(map[trace.UserID]struct{}, len(w.Users))
-	for _, u := range w.Users {
-		if _, dup := seen[u]; dup {
-			return nil, fmt.Errorf("core: duplicate subscriber %d in the workload population", u)
-		}
-		seen[u] = struct{}{}
-	}
-
 	topo, err := hfc.Build(cfg.Topology, w.Users)
 	if err != nil {
 		return nil, err

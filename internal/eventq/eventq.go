@@ -57,6 +57,7 @@ type Func func(now time.Duration)
 // Execute calls the wrapped function.
 func (f Func) Execute(now time.Duration) { f(now) }
 
+// item is one pending event, held by value in its queue's slab.
 type item struct {
 	// key is (at, prio) packed into one word — at<<prioBits | prio — so
 	// the hottest comparisons (cur-slice ordering, drain probes) are a
@@ -64,6 +65,9 @@ type item struct {
 	key uint64
 	seq uint64
 	ev  Event
+	// next is the slab slot after this one in its bucket's chain, or in
+	// the free chain once the item is released.
+	next int32
 }
 
 // packKey builds an ordering key from an in-range (at, prio).
@@ -77,6 +81,13 @@ func (it *item) prio() Priority { return Priority(it.key & (1<<prioBits - 1)) }
 
 // minute returns the minute-of-hour the item falls in.
 func (it *item) minute() int { return int(it.at() % time.Hour / time.Minute) }
+
+// chain is a bucket: the slab slots of its items linked through
+// item.next in insertion order. head and tail mean nothing while n is
+// 0, so the zero value is an empty bucket.
+type chain struct {
+	head, tail, n int32
+}
 
 // Calendar geometry. ringHours is a power of two so the slot modulo
 // compiles to a mask; the ring covers hours cursor+1 .. cursor+63,
@@ -103,20 +114,27 @@ type Queue struct {
 	curHour int64
 	curMin  int
 
-	// cur is the current minute, sorted by (at, prio, seq) and drained
-	// from head.
-	cur  []*item
+	// items is the slab every pending event lives in, by value; free
+	// chains its released slots (-1: none). It is as long as the most
+	// events ever pending at once, and Schedule allocates nothing once
+	// it is.
+	items []item
+	free  int32
+
+	// cur is the current minute's slots, sorted by (at, prio, seq) and
+	// drained from head.
+	cur  []int32
 	head int
 
 	// minutes buckets the current hour's not-yet-current minutes;
 	// hours rings the next ringHours-1 hours; far holds the rest. All
 	// three are unsorted, so their bucket-granular emptiness and range
 	// checks answer most probes without looking at an item.
-	minutes   [minutesPerHour][]*item
+	minutes   [minutesPerHour]chain
 	minuteCnt int
-	hours     [ringHours][]*item
+	hours     [ringHours]chain
 	ringCnt   int
-	far       []*item
+	far       chain
 	// farMin is the earliest hour in far (meaningful only when far is
 	// non-empty). Every cursor advance sweeps far items the window now
 	// reaches into the ring, preserving the invariant that far holds
@@ -126,16 +144,11 @@ type Queue struct {
 
 	// live counts pending events (Len is O(1)).
 	live int
-
-	// free recycles item slots: the queue schedules and pops millions
-	// of events per simulated day, and without the freelist every
-	// Schedule is one heap allocation.
-	free []*item
 }
 
 // New returns an empty queue with the clock at zero.
 func New() *Queue {
-	return &Queue{}
+	return &Queue{free: -1}
 }
 
 // Now returns the current virtual time.
@@ -175,101 +188,122 @@ func (q *Queue) Schedule(at time.Duration, prio Priority, ev Event) {
 	if !packable(at, prio) {
 		panic(fmt.Sprintf("eventq: cannot schedule at %v with priority %d (times below %v, priorities 0–7)", at, prio, TimeLimit))
 	}
-	var it *item
-	if n := len(q.free); n > 0 {
-		it = q.free[n-1]
-		q.free = q.free[:n-1]
-	} else {
-		it = new(item)
-	}
-	it.key, it.seq, it.ev = packKey(at, prio), q.seq, ev
+	q.add(packKey(at, prio), q.seq, ev)
 	q.seq++
-	q.live++
-	q.place(it)
 }
 
-// place files an item into the calendar by its hour/minute distance
+// add files a new pending event into a slab slot, reusing a released
+// one when there is one.
+func (q *Queue) add(key, seq uint64, ev Event) {
+	i := q.free
+	if i >= 0 {
+		q.free = q.items[i].next
+		q.items[i] = item{key: key, seq: seq, ev: ev}
+	} else {
+		i = int32(len(q.items))
+		q.items = append(q.items, item{key: key, seq: seq, ev: ev})
+	}
+	q.live++
+	q.place(i)
+}
+
+// release returns slot i to the free chain.
+func (q *Queue) release(i int32) {
+	q.items[i].ev = nil
+	q.items[i].next = q.free
+	q.free = i
+}
+
+// push appends slot i to bucket c.
+func (q *Queue) push(c *chain, i int32) {
+	q.items[i].next = -1
+	if c.n == 0 {
+		c.head = i
+	} else {
+		q.items[c.tail].next = i
+	}
+	c.tail = i
+	c.n++
+}
+
+// place files slot i into the calendar by its hour/minute distance
 // from the cursor.
-func (q *Queue) place(it *item) {
+func (q *Queue) place(i int32) {
+	it := &q.items[i]
 	h := int64(it.at() / time.Hour)
 	switch {
 	case h == q.curHour:
 		m := it.minute()
 		if m <= q.curMin {
-			q.insertCur(it)
+			q.insertCur(i)
 			return
 		}
-		q.minutes[m] = append(q.minutes[m], it)
+		q.push(&q.minutes[m], i)
 		q.minuteCnt++
 	case h-q.curHour < ringHours:
-		s := h % ringHours
-		q.hours[s] = append(q.hours[s], it)
+		q.push(&q.hours[h%ringHours], i)
 		q.ringCnt++
 	default:
-		if len(q.far) == 0 || h < q.farMin {
+		if q.far.n == 0 || h < q.farMin {
 			q.farMin = h
 		}
-		q.far = append(q.far, it)
+		q.push(&q.far, i)
 	}
 }
 
-// insertCur inserts into the sorted current-minute slice at the item's
-// ordered position (binary search over the undrained tail).
-func (q *Queue) insertCur(it *item) {
+// insertCur inserts slot i into the sorted current-minute slice at its
+// item's ordered position (binary search over the undrained tail).
+func (q *Queue) insertCur(i int32) {
+	it := &q.items[i]
 	lo, hi := q.head, len(q.cur)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if less(q.cur[mid], it) {
+		if less(&q.items[q.cur[mid]], it) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	q.cur = append(q.cur, nil)
+	q.cur = append(q.cur, 0)
 	copy(q.cur[lo+1:], q.cur[lo:])
-	q.cur[lo] = it
+	q.cur[lo] = i
 }
 
-// release returns an item slot to the freelist.
-func (q *Queue) release(it *item) {
-	it.ev = nil
-	q.free = append(q.free, it)
-}
-
-// next pops the earliest pending item, advancing the cursor through
+// next pops the earliest pending slot, advancing the cursor through
 // minute and hour buckets as they empty. The queue must not be empty.
-func (q *Queue) next() *item {
+func (q *Queue) next() int32 {
 	for q.head == len(q.cur) {
 		q.cur, q.head = q.cur[:0], 0
 		switch {
 		case q.minuteCnt > 0:
 			m := q.curMin + 1
-			for len(q.minutes[m]) == 0 {
+			for q.minutes[m].n == 0 {
 				m++
 			}
 			q.curMin = m
 			q.loadMinute(m)
-		case q.ringCnt > 0 || len(q.far) > 0:
+		case q.ringCnt > 0 || q.far.n > 0:
 			q.advanceHour()
 		default:
 			panic("eventq: next on an empty calendar")
 		}
 	}
-	it := q.cur[q.head]
-	q.cur[q.head] = nil
+	i := q.cur[q.head]
 	q.head++
-	return it
+	return i
 }
 
-// loadMinute sorts minute bucket m into the cur slice.
+// loadMinute gathers minute bucket m's chain into the cur slice, sorted.
 func (q *Queue) loadMinute(m int) {
-	b := q.minutes[m]
-	q.cur = append(q.cur[:0], b...)
-	clear(b)
-	q.minutes[m] = b[:0]
-	q.minuteCnt -= len(q.cur)
-	slices.SortFunc(q.cur, func(a, b *item) int {
-		if less(a, b) {
+	c := q.minutes[m]
+	q.minutes[m] = chain{}
+	q.cur = q.cur[:0]
+	for i, n := c.head, c.n; n > 0; i, n = q.items[i].next, n-1 {
+		q.cur = append(q.cur, i)
+	}
+	q.minuteCnt -= int(c.n)
+	slices.SortFunc(q.cur, func(a, b int32) int {
+		if less(&q.items[a], &q.items[b]) {
 			return -1
 		}
 		return 1
@@ -286,7 +320,7 @@ func (q *Queue) advanceHour() {
 	next := q.farMin
 	if q.ringCnt > 0 {
 		for d := int64(1); d < ringHours; d++ {
-			if len(q.hours[(q.curHour+d)%ringHours]) > 0 {
+			if q.hours[(q.curHour+d)%ringHours].n > 0 {
 				next = q.curHour + d
 				break
 			}
@@ -294,7 +328,7 @@ func (q *Queue) advanceHour() {
 	}
 	q.curHour = next
 	q.curMin = -1
-	if len(q.far) > 0 && q.farMin < q.curHour+ringHours {
+	if q.far.n > 0 && q.farMin < q.curHour+ringHours {
 		q.sweepFar()
 	}
 	q.spillHour(next % ringHours)
@@ -306,25 +340,26 @@ func (q *Queue) advanceHour() {
 // in far with farMin recomputed, restoring the far invariant after a
 // cursor advance.
 func (q *Queue) sweepFar() {
-	far := q.far
-	q.far = far[:0]
-	for _, it := range far {
-		q.place(it)
+	c := q.far
+	q.far = chain{}
+	for i, n := c.head, c.n; n > 0; n-- {
+		next := q.items[i].next
+		q.place(i)
+		i = next
 	}
-	clear(far[len(q.far):])
 }
 
 // spillHour distributes an hour-ring bucket into the minute buckets.
 func (q *Queue) spillHour(s int64) {
-	b := q.hours[s]
-	for _, it := range b {
-		m := it.minute()
-		q.minutes[m] = append(q.minutes[m], it)
+	c := q.hours[s]
+	q.hours[s] = chain{}
+	for i, n := c.head, c.n; n > 0; n-- {
+		next := q.items[i].next
+		q.push(&q.minutes[q.items[i].minute()], i)
+		i = next
 	}
-	clear(b)
-	q.ringCnt -= len(b)
-	q.minuteCnt += len(b)
-	q.hours[s] = b[:0]
+	q.ringCnt -= int(c.n)
+	q.minuteCnt += int(c.n)
 }
 
 // hasBefore reports whether a pending event sorts strictly before a
@@ -337,48 +372,46 @@ func (q *Queue) hasBefore(at time.Duration, prio Priority) bool {
 	}
 	key := packKey(at, prio)
 	if q.head < len(q.cur) {
-		return q.cur[q.head].key < key
+		return q.items[q.cur[q.head]].key < key
 	}
 	if q.minuteCnt > 0 {
 		for m := q.curMin + 1; m < minutesPerHour; m++ {
-			b := q.minutes[m]
-			if len(b) == 0 {
+			if q.minutes[m].n == 0 {
 				continue
 			}
 			start := time.Duration(q.curHour)*time.Hour + time.Duration(m)*time.Minute
-			return bucketBefore(b, start, time.Minute, at, key)
+			return q.bucketBefore(q.minutes[m], start, time.Minute, at, key)
 		}
 	}
 	if q.ringCnt > 0 {
 		for d := int64(1); d < ringHours; d++ {
 			h := q.curHour + d
-			b := q.hours[h%ringHours]
-			if len(b) == 0 {
+			if q.hours[h%ringHours].n == 0 {
 				continue
 			}
-			return bucketBefore(b, time.Duration(h)*time.Hour, time.Hour, at, key)
+			return q.bucketBefore(q.hours[h%ringHours], time.Duration(h)*time.Hour, time.Hour, at, key)
 		}
 	}
-	for _, it := range q.far {
-		if it.key < key {
-			return true
-		}
-	}
-	return false
+	return q.chainBefore(q.far, key)
 }
 
 // bucketBefore answers hasBefore for the earliest non-empty bucket:
 // wholly before the threshold, wholly after, or scanned when the
 // threshold falls inside its range.
-func bucketBefore(b []*item, start, width, at time.Duration, key uint64) bool {
+func (q *Queue) bucketBefore(c chain, start, width, at time.Duration, key uint64) bool {
 	if start > at {
 		return false
 	}
 	if start+width <= at {
 		return true
 	}
-	for _, it := range b {
-		if it.key < key {
+	return q.chainBefore(c, key)
+}
+
+// chainBefore reports whether any item in c sorts before key.
+func (q *Queue) chainBefore(c chain, key uint64) bool {
+	for i, n := c.head, c.n; n > 0; i, n = q.items[i].next, n-1 {
+		if q.items[i].key < key {
 			return true
 		}
 	}
@@ -388,12 +421,12 @@ func bucketBefore(b []*item, start, width, at time.Duration, key uint64) bool {
 // step executes the next pending event, advancing the clock to its
 // timestamp. The queue must not be empty.
 func (q *Queue) step() {
-	it := q.next()
+	i := q.next()
 	q.live--
-	q.now = it.at()
+	q.now = q.items[i].at()
 	q.executed++
-	ev := it.ev
-	q.release(it)
+	ev := q.items[i].ev
+	q.release(i)
 	ev.Execute(q.now)
 }
 

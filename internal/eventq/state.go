@@ -1,8 +1,9 @@
 package eventq
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -21,30 +22,39 @@ type PendingEvent struct {
 // priority, sequence). Together with State it captures everything
 // Restore needs to rebuild the queue exactly.
 func (q *Queue) Export() []PendingEvent {
-	out := make([]PendingEvent, 0, q.live)
-	add := func(b []*item) {
-		for _, it := range b {
-			out = append(out, PendingEvent{At: it.at(), Prio: it.prio(), Seq: it.seq, Ev: it.ev})
-		}
+	return q.AppendPending(make([]PendingEvent, 0, q.live))
+}
+
+// AppendPending is Export appending to dst, so a caller exporting many
+// queues can reuse one slice.
+func (q *Queue) AppendPending(dst []PendingEvent) []PendingEvent {
+	start := len(dst)
+	for _, i := range q.cur[q.head:] {
+		dst = q.appendItem(dst, i)
 	}
-	add(q.cur[q.head:])
 	for m := range q.minutes {
-		add(q.minutes[m])
+		dst = q.appendChain(dst, q.minutes[m])
 	}
 	for s := range q.hours {
-		add(q.hours[s])
+		dst = q.appendChain(dst, q.hours[s])
 	}
-	add(q.far)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		if out[i].Prio != out[j].Prio {
-			return out[i].Prio < out[j].Prio
-		}
-		return out[i].Seq < out[j].Seq
+	dst = q.appendChain(dst, q.far)
+	slices.SortFunc(dst[start:], func(a, b PendingEvent) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Prio, b.Prio), cmp.Compare(a.Seq, b.Seq))
 	})
-	return out
+	return dst
+}
+
+func (q *Queue) appendChain(dst []PendingEvent, c chain) []PendingEvent {
+	for i, n := c.head, c.n; n > 0; i, n = q.items[i].next, n-1 {
+		dst = q.appendItem(dst, i)
+	}
+	return dst
+}
+
+func (q *Queue) appendItem(dst []PendingEvent, i int32) []PendingEvent {
+	it := &q.items[i]
+	return append(dst, PendingEvent{At: it.at(), Prio: it.prio(), Seq: it.seq, Ev: it.ev})
 }
 
 // State returns the clock and counters a Restore must carry over: the
@@ -70,6 +80,7 @@ func Restore(now time.Duration, nextSeq, executed uint64, events []PendingEvent)
 		// event is at or after now, so each files at or ahead of it.
 		curHour: int64(now / time.Hour),
 		curMin:  int(now % time.Hour / time.Minute),
+		free:    -1,
 	}
 	for i, pe := range events {
 		if pe.Ev == nil {
@@ -85,9 +96,7 @@ func Restore(now time.Duration, nextSeq, executed uint64, events []PendingEvent)
 		if pe.Seq >= nextSeq {
 			return nil, fmt.Errorf("eventq: restore: event %d sequence %d not below next %d", i, pe.Seq, nextSeq)
 		}
-		it := &item{key: packKey(pe.At, pe.Prio), seq: pe.Seq, ev: pe.Ev}
-		q.live++
-		q.place(it)
+		q.add(packKey(pe.At, pe.Prio), pe.Seq, pe.Ev)
 	}
 	return q, nil
 }

@@ -8,7 +8,7 @@ package hfc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cablevod/internal/randdist"
 	"cablevod/internal/trace"
@@ -86,13 +86,13 @@ type Neighborhood struct {
 	id    int
 	peers []*SetTopBox
 	coax  *Coax
-	// users maps each subscriber (trace user) to their box index.
-	users map[trace.UserID]int
-	// homeIdx/peerIdx are the topology-wide dense lookup tables (shared
-	// across neighborhoods), present only for dense subscriber
-	// populations — see Topology.homeIdx.
+	// A subscriber's box index is found in one of two forms, as
+	// Topology's homing is: the topology-wide dense tables (shared
+	// across neighborhoods) for a dense population, else users, which
+	// maps each of this neighborhood's subscribers to their box index.
 	homeIdx []int32
 	peerIdx []int32
+	users   map[trace.UserID]int
 }
 
 // ID returns the neighborhood index.
@@ -125,16 +125,6 @@ func (n *Neighborhood) PeerOf(u trace.UserID) (*SetTopBox, bool) {
 	return n.peers[i], true
 }
 
-// Users returns the subscribers homed in this neighborhood, sorted.
-func (n *Neighborhood) Users() []trace.UserID {
-	out := make([]trace.UserID, 0, len(n.users))
-	for u := range n.users {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // TotalCacheCapacity returns the pooled storage of all boxes — what the
 // index server understands the total cache size to be (Section IV-B.3).
 func (n *Neighborhood) TotalCacheCapacity() units.ByteSize {
@@ -145,24 +135,28 @@ func (n *Neighborhood) TotalCacheCapacity() units.ByteSize {
 	return total
 }
 
-// Topology is the full plant: every neighborhood plus the user homing map.
+// Topology is the full plant: every neighborhood plus the user homing,
+// in one of two forms chosen by the population. Homing runs three times
+// per submitted record, so a dense population (IDs non-negative and
+// below four times its count, as synth traces and universe tiers
+// generate) gets dense tables: homeIdx[u] is u's neighborhood (-1 for
+// an absent ID) and peerIdx[u] the box index within it, two array
+// reads shared by every neighborhood. A sparse population gets maps
+// instead, home here and users in each neighborhood, rather than pay
+// for mostly-empty tables. Never both.
 type Topology struct {
 	cfg           Config
 	neighborhoods []*Neighborhood
+	subscribers   int
+	homeIdx       []int32
+	peerIdx       []int32
 	home          map[trace.UserID]int
-	// homeIdx/peerIdx are dense homing tables, built when the subscriber
-	// population is exactly 0..n-1 (what synth traces and universe tiers
-	// generate): homeIdx[u] is u's neighborhood and peerIdx[u] the box
-	// index within it. Homing runs three times per submitted record, so
-	// the dense path replaces the hottest map lookups of the ingest loop
-	// with two array reads. nil for sparse populations.
-	homeIdx []int32
-	peerIdx []int32
 }
 
 // Build constructs the plant for the given subscriber population,
 // assigning users to fixed-size neighborhoods uniformly at random
-// (deterministically per config, Section V-B).
+// (deterministically per config, Section V-B). A subscriber listed
+// twice is an error.
 func Build(cfg Config, usersList []trace.UserID) (*Topology, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -172,37 +166,52 @@ func Build(cfg Config, usersList []trace.UserID) (*Topology, error) {
 		return nil, fmt.Errorf("hfc: no subscribers to place")
 	}
 
-	// Deterministic shuffle: seed depends on the placement seed and the
-	// neighborhood size only, so equal-size runs share placement.
-	shuffled := append([]trace.UserID(nil), usersList...)
-	sort.Slice(shuffled, func(i, j int) bool { return shuffled[i] < shuffled[j] })
+	// Deterministic shuffle of the sorted population: the seed depends
+	// on the placement seed and the neighborhood size only, so
+	// equal-size runs share placement. The sort also shows duplicates,
+	// as equal neighbours, and the ID range that decides the homing
+	// form.
+	shuffled := slices.Clone(usersList)
+	slices.Sort(shuffled)
+	for i := 1; i < len(shuffled); i++ {
+		if shuffled[i] == shuffled[i-1] {
+			return nil, fmt.Errorf("hfc: duplicate subscriber %d in the population", shuffled[i])
+		}
+	}
+	n := len(shuffled)
+	dense := shuffled[0] >= 0 && int64(shuffled[n-1]) < 4*int64(n)
+	topo := &Topology{cfg: cfg, subscribers: n}
+	if dense {
+		topo.homeIdx = make([]int32, int(shuffled[n-1])+1)
+		topo.peerIdx = make([]int32, len(topo.homeIdx))
+		for i := range topo.homeIdx {
+			topo.homeIdx[i] = -1
+		}
+	} else {
+		topo.home = make(map[trace.UserID]int, n)
+	}
 	rng := randdist.NewRNG(cfg.PlacementSeed, uint64(cfg.NeighborhoodSize))
-	rng.Shuffle(len(shuffled), func(i, j int) {
+	rng.Shuffle(n, func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
 
-	count := (len(shuffled) + cfg.NeighborhoodSize - 1) / cfg.NeighborhoodSize
-	topo := &Topology{
-		cfg:           cfg,
-		neighborhoods: make([]*Neighborhood, 0, count),
-		home:          make(map[trace.UserID]int, len(shuffled)),
-	}
+	count := (n + cfg.NeighborhoodSize - 1) / cfg.NeighborhoodSize
+	topo.neighborhoods = make([]*Neighborhood, 0, count)
 	for ni := 0; ni < count; ni++ {
-		lo := ni * cfg.NeighborhoodSize
-		hi := lo + cfg.NeighborhoodSize
-		if hi > len(shuffled) {
-			hi = len(shuffled)
-		}
-		members := shuffled[lo:hi]
+		members := shuffled[ni*cfg.NeighborhoodSize : min((ni+1)*cfg.NeighborhoodSize, n)]
 		coax, err := NewCoax(cfg.CoaxCapacity)
 		if err != nil {
 			return nil, err
 		}
 		nb := &Neighborhood{
-			id:    ni,
-			peers: make([]*SetTopBox, 0, len(members)),
-			coax:  coax,
-			users: make(map[trace.UserID]int, len(members)),
+			id:      ni,
+			peers:   make([]*SetTopBox, 0, len(members)),
+			coax:    coax,
+			homeIdx: topo.homeIdx,
+			peerIdx: topo.peerIdx,
+		}
+		if !dense {
+			nb.users = make(map[trace.UserID]int, len(members))
 		}
 		for pi, u := range members {
 			box, err := NewSetTopBox(PeerID{Neighborhood: ni, Index: pi}, cfg.PerPeerStorage, cfg.MaxStreamsPerPeer)
@@ -210,46 +219,16 @@ func Build(cfg Config, usersList []trace.UserID) (*Topology, error) {
 				return nil, err
 			}
 			nb.peers = append(nb.peers, box)
-			nb.users[u] = pi
-			topo.home[u] = ni
+			if dense {
+				topo.homeIdx[u], topo.peerIdx[u] = int32(ni), int32(pi)
+			} else {
+				nb.users[u] = pi
+				topo.home[u] = ni
+			}
 		}
 		topo.neighborhoods = append(topo.neighborhoods, nb)
 	}
-	topo.buildDenseHoming()
 	return topo, nil
-}
-
-// buildDenseHoming flattens the homing maps into arrays when subscriber
-// IDs are small non-negative integers (synth traces and universe tiers
-// number users from zero; real traces may be sparse within that range).
-// Absent IDs hold -1. The tables are shared by the topology and every
-// neighborhood, so the cost is eight bytes per ID once, not per shard.
-// Populations with IDs far beyond their count keep the map path rather
-// than pay for mostly-empty tables.
-func (t *Topology) buildDenseHoming() {
-	n := len(t.home)
-	max := trace.UserID(-1)
-	for u := range t.home {
-		if u < 0 || int64(u) >= 4*int64(n) {
-			return
-		}
-		if u > max {
-			max = u
-		}
-	}
-	t.homeIdx = make([]int32, int(max)+1)
-	t.peerIdx = make([]int32, int(max)+1)
-	for i := range t.homeIdx {
-		t.homeIdx[i] = -1
-	}
-	for _, nb := range t.neighborhoods {
-		for u, pi := range nb.users {
-			t.homeIdx[u] = int32(nb.id)
-			t.peerIdx[u] = int32(pi)
-		}
-		nb.homeIdx = t.homeIdx
-		nb.peerIdx = t.peerIdx
-	}
 }
 
 // Config returns the (defaulted) configuration the plant was built with.
@@ -277,4 +256,4 @@ func (t *Topology) Home(u trace.UserID) (*Neighborhood, bool) {
 }
 
 // Subscribers returns the total subscriber count.
-func (t *Topology) Subscribers() int { return len(t.home) }
+func (t *Topology) Subscribers() int { return t.subscribers }

@@ -1,6 +1,7 @@
 package hfc
 
 import (
+	"strings"
 	"testing"
 
 	"cablevod/internal/trace"
@@ -26,25 +27,72 @@ func TestBuildPartitionsAllUsers(t *testing.T) {
 	if topo.Subscribers() != 1050 {
 		t.Errorf("subscribers = %d, want 1050", topo.Subscribers())
 	}
-	// Every user homed exactly once, boxes created per user.
+	// Every user homed exactly once, one box created per user.
 	seen := 0
 	for _, nb := range topo.Neighborhoods() {
 		seen += nb.Size()
 		if nb.Size() > 100 {
 			t.Errorf("neighborhood %d has %d peers, want <= 100", nb.ID(), nb.Size())
 		}
-		for _, u := range nb.Users() {
-			home, ok := topo.Home(u)
-			if !ok || home.ID() != nb.ID() {
-				t.Fatalf("user %d homing inconsistent", u)
-			}
-			if _, ok := nb.PeerOf(u); !ok {
-				t.Fatalf("user %d has no box", u)
-			}
-		}
 	}
 	if seen != 1050 {
 		t.Errorf("boxes = %d, want 1050", seen)
+	}
+	checkHoming(t, topo, userRange(1050))
+}
+
+// checkHoming asserts that every user is homed in a neighborhood that
+// has a box for them, and that no two users share a box.
+func checkHoming(t *testing.T, topo *Topology, users []trace.UserID) {
+	t.Helper()
+	owner := map[PeerID]trace.UserID{}
+	for _, u := range users {
+		home, ok := topo.Home(u)
+		if !ok {
+			t.Fatalf("user %d not homed", u)
+		}
+		box, ok := home.PeerOf(u)
+		if !ok {
+			t.Fatalf("user %d has no box", u)
+		}
+		if box.ID().Neighborhood != home.ID() {
+			t.Fatalf("user %d homed in %d has box %v", u, home.ID(), box.ID())
+		}
+		if other, dup := owner[box.ID()]; dup {
+			t.Fatalf("users %d and %d share box %v", other, u, box.ID())
+		}
+		owner[box.ID()] = u
+	}
+}
+
+// TestBuildSparsePopulation: a population with IDs far beyond its count
+// is homed through maps, with the same guarantees and unknown IDs
+// (negative, or inside the ID range) not homed.
+func TestBuildSparsePopulation(t *testing.T) {
+	users := []trace.UserID{-7, 3, 1_000_000, 42, 99_999}
+	topo, err := Build(Config{NeighborhoodSize: 2}, users)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if topo.homeIdx != nil || topo.home == nil {
+		t.Fatal("sparse population homed through dense tables")
+	}
+	if topo.Subscribers() != len(users) || topo.NeighborhoodCount() != 3 {
+		t.Errorf("subscribers = %d in %d neighborhoods, want 5 in 3", topo.Subscribers(), topo.NeighborhoodCount())
+	}
+	checkHoming(t, topo, users)
+	for _, u := range []trace.UserID{-1, 4, 500_000} {
+		if _, ok := topo.Home(u); ok {
+			t.Errorf("unknown user %d homed", u)
+		}
+	}
+}
+
+// TestBuildRejectsDuplicates: a subscriber listed twice is named.
+func TestBuildRejectsDuplicates(t *testing.T) {
+	_, err := Build(Config{NeighborhoodSize: 10}, []trace.UserID{4, 2, 9, 2})
+	if err == nil || !strings.Contains(err.Error(), "duplicate subscriber 2") {
+		t.Errorf("err = %v, want the duplicate named", err)
 	}
 }
 
@@ -137,13 +185,11 @@ func TestPlacementRoughlyUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb := topo.Neighborhoods()[0]
-	users := nb.Users()
-	// If placement were identity order, users would be 0..999. Shuffled
-	// placement should include high IDs.
+	// If placement were identity order, neighborhood 0 would hold users
+	// 0..999. Shuffled placement should include high IDs.
 	high := 0
-	for _, u := range users {
-		if u >= 5000 {
+	for u := trace.UserID(5000); u < 10_000; u++ {
+		if nb, _ := topo.Home(u); nb.ID() == 0 {
 			high++
 		}
 	}

@@ -10,14 +10,22 @@ import (
 // meter's complete serializable state. Untouched hours are omitted, so
 // the serialized form is sparse regardless of the dense in-memory
 // layout.
-func (m *RateMeter) Buckets() map[int64]int64 {
-	out := make(map[int64]int64, len(m.bits))
+func (m *RateMeter) Buckets() map[int64]int64 { return m.BucketsInto(nil) }
+
+// BucketsInto is Buckets filling dst, cleared first, in place of a new
+// map (a nil dst gets one), so an exporter can reuse one map per meter.
+func (m *RateMeter) BucketsInto(dst map[int64]int64) map[int64]int64 {
+	if dst == nil {
+		dst = make(map[int64]int64, len(m.bits))
+	} else {
+		clear(dst)
+	}
 	for idx, b := range m.bits {
 		if b != 0 {
-			out[int64(idx)] = b
+			dst[int64(idx)] = b
 		}
 	}
-	return out
+	return dst
 }
 
 // RestoreBuckets replaces the meter's contents with the given buckets
