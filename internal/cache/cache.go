@@ -38,6 +38,16 @@
 // package exports placements in ProgramID order. Custom stages and the
 // recency2, second-touch and global-popularity stages keep their own
 // ProgramID maps.
+//
+// # Count windows
+//
+// A windowed count (the frequency scorer behind LFU and GDSF, and the
+// global-popularity aggregator behind global-LFU) decays through a FIFO
+// of its recorded accesses, each stamped with the time it leaves the
+// window; the stamps are monotone, so expiry pops from the front. The
+// FIFO is one ring of power-of-two size (fifo.go) that doubles when
+// full, so it holds at most twice the largest backlog of its window.
+// A policy blob writes the pending accesses in FIFO order.
 package cache
 
 import (

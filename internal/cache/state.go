@@ -109,7 +109,7 @@ func (c *Cache) SetCapacity(capacity units.ByteSize) ([]trace.ProgramID, error) 
 // Snapshottable is implemented by policies whose full decision state can
 // be serialized and restored. Pipeline implements it whenever every
 // stateful stage it composes does; strategies with un-serializable state
-// (a live cross-neighborhood feed) fail SnapshotState with a clear error
+// (a live cross-neighborhood feed) fail AppendState with a clear error
 // instead of silently snapshotting half their state.
 type Snapshottable interface {
 	// AppendState appends the policy's complete decision state,

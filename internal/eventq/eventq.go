@@ -9,11 +9,19 @@
 // The calendar layout exploits the simulation's schedule shape: almost
 // every event lands within minutes of the clock, a thin tail (session
 // ends, control timers) within hours. Events bucket by hour in a ring
-// of ringHours slots (a spillover list holds the far tail), the
+// of ringHours slots (a spillover bucket holds the far tail), the
 // current hour splits into one-minute buckets, and only the current
 // minute is kept sorted — so Schedule is an append for all but the
 // current minute, and nothing pays the O(log n) sift of a binary heap
 // on the Submit hot path.
+//
+// Pending events live by value in one slab per queue; an executed
+// event's slot joins a free chain and is reused by the next Schedule.
+// Every bucket is a (head, tail, count) chain through the slab in
+// insertion order, and the current minute is a sorted slice of slab
+// indexes gathered from its chain. So the queue's storage is the most
+// events ever pending at once, not a peak per bucket, and an event is
+// not a heap object of its own.
 package eventq
 
 import (

@@ -35,13 +35,17 @@ func testEngine() core.Config {
 }
 
 // startServer runs s until the test ends, failing the test if Run
-// errors, and returns its base URL.
+// errors, and returns its base URL. The cleanup first closes the
+// default client's idle connections: concurrent posts can leave one
+// dialed but never used, which Shutdown waits on for five seconds, as
+// long as Run gives it.
 func startServer(t *testing.T, s *Server) string {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx) }()
 	t.Cleanup(func() {
+		http.DefaultClient.CloseIdleConnections()
 		cancel()
 		select {
 		case err := <-done:
