@@ -164,8 +164,8 @@ func BenchmarkSuiteParallel(b *testing.B) { benchSuite(b, 0) }
 // neighborhoods at 10 GB per peer) with the shard worker pool serial
 // vs. GOMAXPROCS-wide. FullScale builds ~42 shards, so on an N-core
 // machine the sharded run should approach N-fold speedup; results are
-// bit-identical at both settings, which TestShardedEngineEquivalence
-// (internal/core) and TestSystemMatchesRun pin. Speedups measured on a
+// bit-identical at both settings, which TestDeterminism (internal/core)
+// and TestSystemMatchesRun pin. Speedups measured on a
 // given machine are recorded in EXPERIMENTS.md.
 
 var engineBenchTraces struct {

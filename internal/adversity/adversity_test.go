@@ -91,18 +91,27 @@ func TestFaultValidation(t *testing.T) {
 	}
 }
 
-func TestCompileRejectsBadFault(t *testing.T) {
-	tr := testTrace(t)
-	topo := testTopology(t, tr)
-	cfg := testConfig("lfu", 1)
-	if _, err := Compile([]Fault{NodeFailure{Fraction: 2}}, topo, cfg); err == nil {
-		t.Fatal("bad fault compiled")
+// TestDisruptRejectsBadFault: System.Disrupt refuses a nil fault, one
+// naming a neighborhood the plant lacks, and every fault that fails
+// Validate, naming its kind, and schedules nothing. Before Disruptions
+// validated, the hetero spread panicked in its draw, the negative
+// fraction failed one box per neighborhood, and the restore before the
+// failure left the boxes down for good.
+func TestDisruptRejectsBadFault(t *testing.T) {
+	sys, err := core.NewSystem(testConfig("lfu", 1), core.WorkloadFromTrace(testTrace(t)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Compile([]Fault{nil}, topo, cfg); err == nil {
-		t.Fatal("nil fault compiled")
+	for _, f := range []Fault{nil, ColdRestart{Neighborhood: sys.Topology().NeighborhoodCount()},
+		NodeFailure{Fraction: 2}, NodeFailure{Fraction: -1}, NodeFailure{Fraction: 0.5, At: 5 * time.Hour, RestoreAt: time.Hour},
+		ColdRestart{At: -time.Second}, CoaxDegrade{Factor: 1}, HeteroCache{Neighborhood: -1, Min: 2 * units.GB, Max: units.GB}} {
+		if err := sys.Disrupt(f); err == nil || f != nil && f.Validate() != nil && !strings.Contains(err.Error(), f.Kind()) {
+			t.Errorf("%#v: err = %v, want a refusal naming the fault", f, err)
+		}
 	}
-	if _, err := Compile([]Fault{ColdRestart{Neighborhood: topo.NeighborhoodCount()}}, topo, cfg); err == nil {
-		t.Fatal("out-of-range neighborhood compiled")
+	st, err := sys.ExportState()
+	if err != nil || len(st.Disruptions) != 0 {
+		t.Fatalf("rejected faults left a schedule (%v)", err)
 	}
 }
 

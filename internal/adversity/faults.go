@@ -23,35 +23,17 @@ import (
 
 // Fault is one high-level fault model. A Fault compiles itself into
 // engine disruptions against the built plant, which makes every fault a
-// core.Disruptor usable directly with System.Disrupt.
+// core.Disruptor usable directly with System.Disrupt. Compiling
+// validates first, so a fault with bad parameters never reaches the
+// engine.
 type Fault interface {
 	// Kind names the fault model (the spec-file phase kind).
 	Kind() string
 	// Validate checks the fault's parameters, plant-independently.
 	Validate() error
-	// Disruptions compiles the fault for the given plant and run
-	// configuration (core.Disruptor).
+	// Disruptions validates the fault, then compiles it for the given
+	// plant and run configuration (core.Disruptor).
 	Disruptions(topo *hfc.Topology, cfg core.Config) ([]core.Disruption, error)
-}
-
-// Compile validates and compiles a fault list into one merged disruption
-// schedule.
-func Compile(faults []Fault, topo *hfc.Topology, cfg core.Config) ([]core.Disruption, error) {
-	var out []core.Disruption
-	for i, f := range faults {
-		if f == nil {
-			return nil, fmt.Errorf("adversity: fault %d is nil", i)
-		}
-		if err := f.Validate(); err != nil {
-			return nil, fmt.Errorf("adversity: fault %d (%s): %w", i, f.Kind(), err)
-		}
-		ds, err := f.Disruptions(topo, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("adversity: fault %d (%s): %w", i, f.Kind(), err)
-		}
-		out = append(out, ds...)
-	}
-	return out, nil
 }
 
 // basePeerStorage reads the plant's per-box storage contribution; the
@@ -63,6 +45,14 @@ func basePeerStorage(topo *hfc.Topology) units.ByteSize {
 // baseCoaxCapacity reads the plant's VoD coax bandwidth.
 func baseCoaxCapacity(topo *hfc.Topology) units.BitRate {
 	return topo.Config().CoaxCapacity
+}
+
+// invalid wraps a fault's Validate error with its kind, or returns nil.
+func invalid(f Fault) error {
+	if err := f.Validate(); err != nil {
+		return fmt.Errorf("adversity: %s: %w", f.Kind(), err)
+	}
+	return nil
 }
 
 // neighborhoods resolves a fault's target list: the named neighborhood,
@@ -136,6 +126,9 @@ func (f NodeFailure) Validate() error {
 
 // Disruptions compiles the failure into per-step capacity vectors.
 func (f NodeFailure) Disruptions(topo *hfc.Topology, cfg core.Config) ([]core.Disruption, error) {
+	if err := invalid(f); err != nil {
+		return nil, err
+	}
 	nbs, err := neighborhoods(topo, f.Neighborhood)
 	if err != nil {
 		return nil, err
@@ -209,6 +202,9 @@ func (f ColdRestart) Validate() error {
 
 // Disruptions compiles the restart.
 func (f ColdRestart) Disruptions(topo *hfc.Topology, cfg core.Config) ([]core.Disruption, error) {
+	if err := invalid(f); err != nil {
+		return nil, err
+	}
 	if _, err := neighborhoods(topo, f.Neighborhood); err != nil {
 		return nil, err
 	}
@@ -251,6 +247,9 @@ func (f CoaxDegrade) Validate() error {
 
 // Disruptions compiles the degradation.
 func (f CoaxDegrade) Disruptions(topo *hfc.Topology, cfg core.Config) ([]core.Disruption, error) {
+	if err := invalid(f); err != nil {
+		return nil, err
+	}
 	if _, err := neighborhoods(topo, f.Neighborhood); err != nil {
 		return nil, err
 	}
@@ -307,6 +306,9 @@ func (f HeteroCache) Validate() error {
 
 // Disruptions compiles the spread.
 func (f HeteroCache) Disruptions(topo *hfc.Topology, cfg core.Config) ([]core.Disruption, error) {
+	if err := invalid(f); err != nil {
+		return nil, err
+	}
 	nbs, err := neighborhoods(topo, f.Neighborhood)
 	if err != nil {
 		return nil, err

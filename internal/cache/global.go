@@ -26,16 +26,25 @@ type expiryEvent struct {
 }
 
 // Global aggregates windowed access counts across all neighborhoods.
+//
+// A live feed (lag 0) records every request into the shared window as
+// it happens and pushes count changes to the views caching the
+// program, so it couples neighborhoods per request. A lagged feed is
+// observable only through its publications: views buffer their
+// requests locally and read the published snapshot, and the engine
+// calls Sync at each publication instant, with no policy running, to
+// merge the buffers and republish.
 type Global struct {
 	history time.Duration
 	lag     time.Duration
 
 	counts map[trace.ProgramID]int
 	expiry fifo[expiryEvent]
-	now    time.Duration
+	now    time.Duration // a live feed's clock
 
 	// published is the snapshot policies see when lag > 0; version ticks
-	// on every publication so policies can rebuild lazily.
+	// on every publication so policies can rebuild lazily. nextPublish
+	// is the next publication instant.
 	published   map[trace.ProgramID]int
 	version     uint64
 	nextPublish time.Duration
@@ -43,13 +52,6 @@ type Global struct {
 	// subscribers maps a program to the scorer views currently caching
 	// it, for live (lag == 0) count-change pushes.
 	subscribers map[trace.ProgramID]map[*GlobalScorer]struct{}
-
-	// coordinated switches the aggregator into barrier-synchronized mode
-	// for concurrent neighborhood shards (see Coordinate): policies
-	// buffer their access records locally and only read the published
-	// snapshot; all shared-state mutation happens in Sync, which the
-	// engine calls between processing windows when no policy is running.
-	coordinated bool
 
 	// views lists every per-neighborhood scorer handed out, in creation
 	// order, so Sync can drain their buffers deterministically.
@@ -83,42 +85,17 @@ func (g *Global) NewScorer() *GlobalScorer {
 	return sc
 }
 
-// Coordinate switches the aggregator into barrier-synchronized mode for
-// concurrent per-neighborhood shards. Between barriers, policies read
-// only the immutable published snapshot and buffer their access records
-// locally; the engine calls Sync at each publication instant (while no
-// policy is running) to merge the buffers and republish. This reproduces
-// the serial lag semantics exactly — with lag > 0, counts are observable
-// only through publications, so deferring the merge to the publication
-// instant changes nothing. A live feed (lag == 0) couples neighborhoods
-// at per-request granularity and cannot be coordinated; callers must
-// serialize instead.
-func (g *Global) Coordinate() error {
-	if g.lag <= 0 {
-		return fmt.Errorf("cache: live global feed (lag 0) couples neighborhoods per request and cannot be barrier-coordinated")
-	}
-	if g.now != 0 || g.expiry.len() != 0 || len(g.counts) != 0 {
-		return fmt.Errorf("cache: Coordinate must be called before any traffic")
-	}
-	g.coordinated = true
-	return nil
-}
-
-// SyncNeeded reports whether shared state must be synchronized before a
+// SyncNeeded reports whether a lagged feed must publish before a
 // request at time next is processed: the next publication instant has
 // been reached. Part of the engine's shard-coupling contract.
 func (g *Global) SyncNeeded(next time.Duration) bool {
-	return g.coordinated && next >= g.nextPublish
+	return g.lag > 0 && next >= g.nextPublish
 }
 
-// Sync merges every policy's buffered access records and republishes the
-// popularity snapshot as of time now — the coordinated-mode equivalent
-// of the first advance call crossing a publication boundary. The engine
-// must call it with no policy running concurrently.
+// Sync merges every view's buffered access records and republishes the
+// popularity snapshot as of time now. The engine must call it with no
+// policy running concurrently.
 func (g *Global) Sync(now time.Duration) {
-	if !g.coordinated {
-		return
-	}
 	var batch []expiryEvent
 	for _, v := range g.views {
 		batch = append(batch, v.pending...)
@@ -132,22 +109,22 @@ func (g *Global) Sync(now time.Duration) {
 		g.counts[e.program]++
 		g.expiry.push(e)
 	}
-	if now > g.now {
-		g.now = now
-	}
 	g.expireTo(now)
-	g.maybePublish(now)
+	if now >= g.nextPublish {
+		g.publish()
+		for g.nextPublish <= now {
+			g.nextPublish += g.lag
+		}
+	}
 }
 
-// advance slides the window and publishes snapshots as time passes. In
-// coordinated mode it is a no-op: all mutation happens in Sync.
+// advance slides a live feed's window as time passes.
 func (g *Global) advance(now time.Duration) {
-	if g.coordinated || now <= g.now {
+	if now <= g.now {
 		return
 	}
 	g.now = now
 	g.expireTo(now)
-	g.maybePublish(now)
 }
 
 // expireTo drops window entries at or before now.
@@ -162,16 +139,7 @@ func (g *Global) expireTo(now time.Duration) {
 	}
 }
 
-// maybePublish publishes a snapshot when now crosses the lag boundary.
-func (g *Global) maybePublish(now time.Duration) {
-	if g.lag > 0 && now >= g.nextPublish {
-		g.publish()
-		for g.nextPublish <= now {
-			g.nextPublish += g.lag
-		}
-	}
-}
-
+// record adds one request to a live feed's window.
 func (g *Global) record(p trace.ProgramID, now time.Duration) {
 	g.advance(now)
 	if g.history == 0 {
@@ -236,7 +204,7 @@ type GlobalScorer struct {
 	version uint64
 
 	// pending buffers this neighborhood's access records between
-	// barriers in coordinated mode; only Sync drains it.
+	// publications of a lagged feed; only Sync drains it.
 	pending []expiryEvent
 }
 
@@ -248,26 +216,29 @@ func (sc *GlobalScorer) Name() string { return "global-freq" }
 // Bind attaches the pipeline's score sink.
 func (sc *GlobalScorer) Bind(sink ScoreSink) { sc.sink = sink }
 
-// Advance slides the shared window and, when a new popularity snapshot
-// has been published, re-scores this neighborhood's cached set from it.
+// Advance slides a live feed's shared window or, when a lagged feed has
+// published a new popularity snapshot, re-scores this neighborhood's
+// cached set from it.
 func (sc *GlobalScorer) Advance(now time.Duration) {
-	sc.global.advance(now)
-	if sc.global.lag > 0 && sc.version != sc.global.version {
+	if sc.global.lag == 0 {
+		sc.global.advance(now)
+		return
+	}
+	if sc.version != sc.global.version {
 		sc.sink.Rescore(func(p trace.ProgramID) int { return sc.global.count(p) })
 		sc.version = sc.global.version
 	}
 }
 
-// OnRequest records the access into the shared aggregator (or, in
-// coordinated mode, the local barrier buffer).
+// OnRequest records the access into a live feed's shared window, or
+// into the local buffer a lagged feed's Sync drains.
 func (sc *GlobalScorer) OnRequest(p trace.ProgramID, now time.Duration) {
 	sc.Advance(now)
-	if sc.global.coordinated {
-		if sc.global.history > 0 {
-			sc.pending = append(sc.pending, expiryEvent{program: p, at: now + sc.global.history})
-		}
-	} else {
+	switch {
+	case sc.global.lag == 0:
 		sc.global.record(p, now)
+	case sc.global.history > 0:
+		sc.pending = append(sc.pending, expiryEvent{program: p, at: now + sc.global.history})
 	}
 }
 

@@ -16,6 +16,14 @@ func mustGlobal(t *testing.T, history, lag time.Duration) *Global {
 	return g
 }
 
+// syncAt publishes a lagged feed where the engine would: before the
+// first request at or past the next publication instant.
+func syncAt(g *Global, now time.Duration) {
+	if g.SyncNeeded(now) {
+		g.Sync(now)
+	}
+}
+
 func TestNewGlobalErrors(t *testing.T) {
 	if _, err := NewGlobal(-time.Hour, 0); err == nil {
 		t.Error("expected error for negative history")
@@ -84,6 +92,7 @@ func TestGlobalLaggedSnapshot(t *testing.T) {
 		t.Errorf("pre-publication value = %d, want 0", got)
 	}
 	// After the 30-minute boundary the snapshot is visible.
+	syncAt(g, 31*time.Minute)
 	if got := valueAt(pol, 1, 31*time.Minute); got != 1 {
 		t.Errorf("post-publication value = %d, want 1", got)
 	}
@@ -92,6 +101,7 @@ func TestGlobalLaggedSnapshot(t *testing.T) {
 	if got := valueAt(pol, 1, 40*time.Minute); got != 1 {
 		t.Errorf("mid-batch value = %d, want 1", got)
 	}
+	syncAt(g, 61*time.Minute)
 	if got := valueAt(pol, 1, 61*time.Minute); got != 2 {
 		t.Errorf("after second publication = %d, want 2", got)
 	}
@@ -107,6 +117,7 @@ func TestGlobalLaggedRebuildReordersVictims(t *testing.T) {
 	c.Access(2, 2*gb, 4*time.Minute)
 	// Pre-publication both read 0; after the boundary program 1 (count 1)
 	// must order before program 2 (count 3).
+	syncAt(g, 11*time.Minute)
 	pol.Advance(11 * time.Minute)
 	var order []trace.ProgramID
 	pol.EvictionOrder(func(p trace.ProgramID, _ int) bool {
@@ -142,80 +153,5 @@ func TestGlobalUnsubscribeOnEvict(t *testing.T) {
 	}
 	if subs := g.subscribers[1]; len(subs) != 0 {
 		t.Errorf("program 1 still has %d subscribers after eviction", len(subs))
-	}
-}
-
-// TestGlobalCoordinateRequiresLag: a live feed cannot be coordinated,
-// and coordination must precede traffic.
-func TestGlobalCoordinateRequiresLag(t *testing.T) {
-	if err := mustGlobal(t, 24*time.Hour, 0).Coordinate(); err == nil {
-		t.Error("expected error coordinating a live (lag 0) feed")
-	}
-	g := mustGlobal(t, 24*time.Hour, time.Hour)
-	pol := newGlobalLFU(t, g)
-	pol.OnRequest(1, time.Second)
-	if err := g.Coordinate(); err == nil {
-		t.Error("expected error coordinating after traffic")
-	}
-}
-
-// TestGlobalCoordinatedMatchesSerialLagged drives the same interleaved
-// request schedule through a serial lagged aggregator and a coordinated
-// one (buffered scorers synchronized at exactly the publication
-// instants the serial aggregator would use) and requires identical
-// pipeline-visible counts at every step.
-func TestGlobalCoordinatedMatchesSerialLagged(t *testing.T) {
-	const (
-		history = 2 * time.Hour
-		lag     = 30 * time.Minute
-		nPols   = 3
-	)
-	// An interleaved schedule: (time, neighborhood, program) with
-	// several requests inside each lag window and program reuse across
-	// neighborhoods so counts genuinely aggregate.
-	type req struct {
-		at time.Duration
-		nb int
-		p  trace.ProgramID
-	}
-	var schedule []req
-	for i := 0; i < 300; i++ {
-		schedule = append(schedule, req{
-			at: time.Duration(i) * 97 * time.Second,
-			nb: i % nPols,
-			p:  trace.ProgramID(1 + (i*7)%11),
-		})
-	}
-
-	serial := mustGlobal(t, history, lag)
-	coord := mustGlobal(t, history, lag)
-	if err := coord.Coordinate(); err != nil {
-		t.Fatal(err)
-	}
-	var serialPols, coordPols []*Pipeline
-	for i := 0; i < nPols; i++ {
-		serialPols = append(serialPols, newGlobalLFU(t, serial))
-		coordPols = append(coordPols, newGlobalLFU(t, coord))
-	}
-
-	for i, r := range schedule {
-		// The engine syncs the coordinated aggregator exactly where the
-		// serial one would publish: at the first request past the lag
-		// boundary, before that request is processed.
-		if coord.SyncNeeded(r.at) {
-			coord.Sync(r.at)
-		}
-		serialPols[r.nb].OnRequest(r.p, r.at)
-		coordPols[r.nb].OnRequest(r.p, r.at)
-		for nb := 0; nb < nPols; nb++ {
-			for p := trace.ProgramID(1); p <= 12; p++ {
-				want := valueAt(serialPols[nb], p, r.at)
-				got := valueAt(coordPols[nb], p, r.at)
-				if got != want {
-					t.Fatalf("step %d (t=%v nb=%d): program %d: coordinated count %d, serial %d",
-						i, r.at, nb, p, got, want)
-				}
-			}
-		}
 	}
 }

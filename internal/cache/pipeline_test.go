@@ -320,26 +320,34 @@ func TestTiebreakFIFO(t *testing.T) {
 func TestPipelineEntryPointsAdvance(t *testing.T) {
 	cases := []struct {
 		name          string
-		pipeline      func() *Pipeline
+		pipeline      func() (*Pipeline, *Global)
 		requested, at time.Duration
 		want          int
 	}{
-		// The 30 min publication at 31 min makes the 1 min request visible.
-		{"global-lfu 30m lag", func() *Pipeline {
-			return newGlobalLFU(t, mustGlobal(t, 24*time.Hour, 30*time.Minute))
+		// The 30 min publication, synced at 31 min, makes the 1 min
+		// request visible.
+		{"global-lfu 30m lag", func() (*Pipeline, *Global) {
+			g := mustGlobal(t, 24*time.Hour, 30*time.Minute)
+			return newGlobalLFU(t, g), g
 		}, time.Minute, 31 * time.Minute, 1},
 		// A 1 h history forgets the request by 2 h.
-		{"lfu 1h history", func() *Pipeline { return newLFU(t, time.Hour) }, 0, 2 * time.Hour, 0},
+		{"lfu 1h history", func() (*Pipeline, *Global) { return newLFU(t, time.Hour), nil }, 0, 2 * time.Hour, 0},
 	}
 	for _, tc := range cases {
-		pl := tc.pipeline()
-		pl.OnRequest(1, tc.requested)
+		request := func() *Pipeline {
+			pl, g := tc.pipeline()
+			pl.OnRequest(1, tc.requested)
+			if g != nil {
+				syncAt(g, tc.at)
+			}
+			return pl
+		}
+		pl := request()
 		if got := pl.CandidateValue(1, tc.at); got != tc.want {
 			t.Errorf("%s: CandidateValue = %d, want %d", tc.name, got, tc.want)
 		}
 
-		pl = tc.pipeline()
-		pl.OnRequest(1, tc.requested)
+		pl = request()
 		pl.OnAdmit(1, tc.at)
 		var scores []int
 		pl.EvictionOrder(func(_ trace.ProgramID, v int) bool {

@@ -468,12 +468,8 @@ func (o *oracleScorer) restoreStage(data []byte) error {
 
 // recency2State is the LRU-2 scorer's wire form: every program's
 // reference history, in program order (history survives eviction, so
-// all of it is the state). Last and Prev are the maps earlier snapshots
-// wrote instead; gob writes a map in iteration order, so one state gave
-// different bytes each time. They are still read.
+// all of it is the state).
 type recency2State struct {
-	Last map[trace.ProgramID]time.Duration
-	Prev map[trace.ProgramID]time.Duration
 	Refs []recency2Ref
 }
 
@@ -499,13 +495,8 @@ func (r *recency2Scorer) restoreStage(data []byte) error {
 	if err := decodeStage(data, &st); err != nil {
 		return err
 	}
-	r.last, r.prev = st.Last, st.Prev
-	if r.last == nil {
-		r.last = make(map[trace.ProgramID]time.Duration, len(st.Refs))
-	}
-	if r.prev == nil {
-		r.prev = make(map[trace.ProgramID]time.Duration, len(st.Refs))
-	}
+	r.last = make(map[trace.ProgramID]time.Duration, len(st.Refs))
+	r.prev = make(map[trace.ProgramID]time.Duration, len(st.Refs))
 	for _, ref := range st.Refs {
 		r.last[ref.Program] = ref.Last
 		if ref.HasPrev {
@@ -524,11 +515,8 @@ func (s *sizeFrequencyScorer) appendState(b []byte, body int) []byte {
 }
 
 // secondTouchState is the bypass-on-first-touch filter's wire form:
-// each requested program's touch count (1 or 2), in program order. Seen
-// is the map earlier snapshots wrote instead, in map iteration order;
-// it is still read.
+// each requested program's touch count (1 or 2), in program order.
 type secondTouchState struct {
-	Seen    map[trace.ProgramID]uint8
 	Touched []programTouches
 }
 
@@ -550,10 +538,7 @@ func (a *secondTouchAdmission) restoreStage(data []byte) error {
 	if err := decodeStage(data, &st); err != nil {
 		return err
 	}
-	a.seen = st.Seen
-	if a.seen == nil {
-		a.seen = make(map[trace.ProgramID]uint8, len(st.Touched))
-	}
+	a.seen = make(map[trace.ProgramID]uint8, len(st.Touched))
 	for _, t := range st.Touched {
 		a.seen[t.Program] = t.Count
 	}

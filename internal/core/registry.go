@@ -34,12 +34,6 @@ type PolicyEnv struct {
 	// size.
 	Lengths func(p trace.ProgramID) time.Duration
 
-	// Parallelism is the resolved worker-pool width the engine will run
-	// neighborhood shards on (>= 1; 1 means fully serial execution).
-	// Factories whose policies share mutable state can skip coordination
-	// setup when it is 1.
-	Parallelism int
-
 	// coupler is set through Couple by factories whose policies share
 	// epoch-synchronizable state.
 	coupler ShardCoupler
@@ -58,8 +52,8 @@ func (env *PolicyEnv) Couple(c ShardCoupler) { env.coupler = c }
 // ShardCoupler is strategy-shared state that couples concurrent
 // neighborhood shards and synchronizes at epoch barriers. The engine
 // checks SyncNeeded against each record's start time in global order and
-// calls Sync exactly where the serial engine would have published, so
-// results stay bit-identical at every parallelism level.
+// calls Sync before the first record at or past each synchronization
+// instant, at every parallelism level, so results stay bit-identical.
 type ShardCoupler interface {
 	// SyncNeeded reports whether shared state must synchronize before a
 	// record at time next is processed.
@@ -279,11 +273,11 @@ func init() {
 			}, nil
 		}, independent)
 
-	// Global-LFU policies share the popularity aggregator. With a
-	// publication lag, the shared state is observable only at
-	// publication instants, so the factory couples it for epoch-barrier
-	// execution; a live feed (lag 0) couples neighborhoods per request
-	// and leaves the zero traits, which makes the engine serialize.
+	// Global-LFU policies share the popularity aggregator. A lagged feed
+	// is observable only at publication instants, so the factory couples
+	// it for epoch-barrier execution at every parallelism; a live feed
+	// (lag 0) couples neighborhoods per request and leaves the zero
+	// traits, which makes the engine serialize.
 	mustRegisterStrategy(StrategyGlobalLFU.String(),
 		"LFU fed by usage aggregated across all neighborhoods, optionally on a publication lag (paper Fig. 13)",
 		func(env *PolicyEnv) (func(nb int) (cache.Policy, error), error) {
@@ -291,10 +285,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if env.Parallelism > 1 && env.Config.GlobalLag > 0 {
-				if err := global.Coordinate(); err != nil {
-					return nil, err
-				}
+			if env.Config.GlobalLag > 0 {
 				env.Couple(global)
 			}
 			return func(int) (cache.Policy, error) {

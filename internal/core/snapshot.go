@@ -27,7 +27,8 @@ const SnapshotVersion = 3
 // workload and configuration to rebuild the plant and strategies, plus
 // every shard's live state. A restored System continues the run
 // bit-identically to one that was never interrupted (the snapshot
-// determinism contract, enforced by TestSnapshotRestoreEquivalence).
+// determinism contract, enforced by TestDeterminism's checkpoint and
+// fork transformations).
 //
 // Snapshots are taken between submissions: pending mailboxes are empty
 // and every shard is drained to the last submitted record's start.

@@ -57,6 +57,10 @@ var strategyGolden = []strategyGoldenRow{
 	{strategy: "global-lfu", lag: 30 * time.Minute, fill: FillImmediate, seed: 2, counters: Counters{Sessions: 2169, SegmentRequests: 8245, Hits: 6017, MissNotCached: 737, MissUnplaced: 205, MissPeerBusy: 31, MissFirstFetch: 1255, Fills: 0, CoaxOverloads: 0, Admissions: 297, Evictions: 133}, serverBits: 4748508700000, demandBits: 17492609940000, sha256: "9579757b8a5322dd44645b853c53ae7eaff33e8bec2b9fb4c70e733422743b29"},
 	{strategy: "global-lfu", lag: 30 * time.Minute, fill: FillOnBroadcast, seed: 1, counters: Counters{Sessions: 2570, SegmentRequests: 10344, Hits: 6380, MissNotCached: 1295, MissUnplaced: 2639, MissPeerBusy: 30, MissFirstFetch: 0, Fills: 2190, CoaxOverloads: 0, Admissions: 279, Evictions: 118}, serverBits: 8660937480000, demandBits: 22024844660000, sha256: "4f5eade668222ef52585c858ef560b6c6935579f99b93f1c9d57c42b9d5ee4be"},
 	{strategy: "global-lfu", lag: 30 * time.Minute, fill: FillOnBroadcast, seed: 2, counters: Counters{Sessions: 2169, SegmentRequests: 8245, Hits: 4977, MissNotCached: 772, MissUnplaced: 2459, MissPeerBusy: 37, MissFirstFetch: 0, Fills: 2023, CoaxOverloads: 0, Admissions: 297, Evictions: 133}, serverBits: 7113046720000, demandBits: 17492609940000, sha256: "e65f26a302fd4b3eb688f57140adf6f3917d94c3dc608c822cbe19e718052c75"},
+	{strategy: "global-lfu", lag: 120 * time.Minute, fill: FillImmediate, seed: 1, counters: Counters{Sessions: 2570, SegmentRequests: 10344, Hits: 7538, MissNotCached: 1332, MissUnplaced: 319, MissPeerBusy: 43, MissFirstFetch: 1112, Fills: 0, CoaxOverloads: 0, Admissions: 288, Evictions: 128}, serverBits: 6082430640000, demandBits: 22024844660000, sha256: "958578368f1c94bbcffc35b71df546936edb3155561b193e9ba3e57a364f24fe"},
+	{strategy: "global-lfu", lag: 120 * time.Minute, fill: FillImmediate, seed: 2, counters: Counters{Sessions: 2169, SegmentRequests: 8245, Hits: 6087, MissNotCached: 719, MissUnplaced: 151, MissPeerBusy: 31, MissFirstFetch: 1257, Fills: 0, CoaxOverloads: 0, Admissions: 294, Evictions: 131}, serverBits: 4602977340000, demandBits: 17492609940000, sha256: "fd477f32220b92c5a11616a9094b56909071f4ea04e5531d6ef1bb0bbaceef00"},
+	{strategy: "global-lfu", lag: 120 * time.Minute, fill: FillOnBroadcast, seed: 1, counters: Counters{Sessions: 2570, SegmentRequests: 10344, Hits: 6304, MissNotCached: 1346, MissUnplaced: 2667, MissPeerBusy: 27, MissFirstFetch: 0, Fills: 2206, CoaxOverloads: 0, Admissions: 288, Evictions: 128}, serverBits: 8827416780000, demandBits: 22024844660000, sha256: "d239e777f69f079d94e7a3bf66c86bb220ba527c9565efe38c21f82eddf9b6e7"},
+	{strategy: "global-lfu", lag: 120 * time.Minute, fill: FillOnBroadcast, seed: 2, counters: Counters{Sessions: 2169, SegmentRequests: 8245, Hits: 4988, MissNotCached: 756, MissUnplaced: 2464, MissPeerBusy: 37, MissFirstFetch: 0, Fills: 2029, CoaxOverloads: 0, Admissions: 294, Evictions: 131}, serverBits: 7087448160000, demandBits: 17492609940000, sha256: "5c765d0319d4ee1e2c15a21977d97e66617507dc1d3b11cd80ee6e246d970897"},
 	{strategy: "gdsf", fill: FillImmediate, seed: 1, counters: Counters{Sessions: 2570, SegmentRequests: 10344, Hits: 7608, MissNotCached: 929, MissUnplaced: 227, MissPeerBusy: 37, MissFirstFetch: 1543, Fills: 0, CoaxOverloads: 0, Admissions: 399, Evictions: 222}, serverBits: 5879399240000, demandBits: 22024844660000, sha256: "633b55677b933cb8fd73ac8a488a7aaa2c5827eb2d5286427ad504142beaa8c4"},
 	{strategy: "gdsf", fill: FillImmediate, seed: 2, counters: Counters{Sessions: 2169, SegmentRequests: 8245, Hits: 6015, MissNotCached: 402, MissUnplaced: 140, MissPeerBusy: 28, MissFirstFetch: 1660, Fills: 0, CoaxOverloads: 0, Admissions: 412, Evictions: 240}, serverBits: 4765386340000, demandBits: 17492609940000, sha256: "210653c39e4f8218475f3472d7a3ab0fb1007be7d1be7abbd8e605ccc160d588"},
 	{strategy: "gdsf", fill: FillOnBroadcast, seed: 1, counters: Counters{Sessions: 2570, SegmentRequests: 10344, Hits: 6302, MissNotCached: 954, MissUnplaced: 3063, MissPeerBusy: 25, MissFirstFetch: 0, Fills: 2511, CoaxOverloads: 0, Admissions: 399, Evictions: 222}, serverBits: 8824249200000, demandBits: 22024844660000, sha256: "0ac9b8c9824c45df8ff065265fbe05c3e1cc12c484896a08188d86154d107e9f"},
@@ -80,9 +84,9 @@ var strategyGolden = []strategyGoldenRow{
 }
 
 // strategyGoldenVariants are the strategy settings the golden covers:
-// the seven built-ins at their defaults, plus three settings the
+// the seven built-ins at their defaults, plus four settings the
 // defaults leave unexercised on the 3-day test trace.
-//   - global-lfu on a 30-minute publication lag (Fig. 13).
+//   - global-lfu on 30-minute and 2-hour publication lags (Fig. 13).
 //   - lfu with no history, Fig. 11's leftmost point. At any positive
 //     history a request always raises the requested program's count,
 //     which already makes it most recently used, so the tiebreak
@@ -94,6 +98,7 @@ var strategyGoldenVariants = []strategyGoldenRow{
 	{strategy: "lru"}, {strategy: "lfu"}, {strategy: "oracle"}, {strategy: "global-lfu"},
 	{strategy: "gdsf"}, {strategy: "lru-2"}, {strategy: "prefix-lfu"},
 	{strategy: "global-lfu", lag: 30 * time.Minute},
+	{strategy: "global-lfu", lag: 2 * time.Hour},
 	{strategy: "lfu", noHistory: true},
 	{strategy: "oracle", lookahead: 24 * time.Hour},
 }

@@ -209,7 +209,7 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 		// Unreachable after Validate; kept as a defensive check.
 		return nil, fmt.Errorf("core: unknown strategy %q", cfg.strategyName())
 	}
-	env := &PolicyEnv{Config: cfg, Topology: topo, Future: w.Future, Lengths: s.lengths, Parallelism: s.workers}
+	env := &PolicyEnv{Config: cfg, Topology: topo, Future: w.Future, Lengths: s.lengths}
 	newPolicy, err := entry.factory(env)
 	if err != nil {
 		return nil, err
@@ -371,8 +371,8 @@ func (s *System) SubmitBatch(recs []trace.Record) error {
 		}
 	default:
 		// Shards run concurrently between barriers: epoch publication
-		// instants (shared strategy state synchronizes exactly where the
-		// serial engine would have published) and disruption instants
+		// instants (shared strategy state synchronizes before the first
+		// record at or past each one) and disruption instants
 		// (the plant changes with no worker running). Both split the
 		// batch at the same record boundaries at every parallelism level,
 		// so results stay bit-identical.

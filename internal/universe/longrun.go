@@ -323,8 +323,8 @@ func describeTier(c Config) string {
 
 // verifySnapshot cross-checks the engine snapshot against the tier:
 // the ledger names the universe, the snapshot must actually hold its
-// plant. The population check uses the dense-ID contract (VerifyDense)
-// universe tiers guarantee.
+// plant. Universe populations are dense, user i at position i, which
+// also rules out a repeated user.
 func verifySnapshot(st *core.SystemState, tier Config, m runMeta) error {
 	if got := len(st.Users); got != tier.Subscribers {
 		return fmt.Errorf("universe: snapshot holds %d subscribers, tier %q builds %d", got, tier.Name, tier.Subscribers)
@@ -332,8 +332,10 @@ func verifySnapshot(st *core.SystemState, tier Config, m runMeta) error {
 	if got, want := st.Config.Topology.NeighborhoodSize, tier.NeighborhoodSize(); got != want {
 		return fmt.Errorf("universe: snapshot plant has %d-subscriber neighborhoods, tier %q builds %d", got, tier.Name, want)
 	}
-	if err := VerifyDense(st.Users, func(i int) trace.UserID { return trace.UserID(i) }); err != nil {
-		return fmt.Errorf("universe: snapshot population is not a universe population: %w", err)
+	for i, u := range st.Users {
+		if u != trace.UserID(i) {
+			return fmt.Errorf("universe: snapshot population is not a universe population: position %d holds user %d", i, u)
+		}
 	}
 	if st.Submitted != m.Submitted {
 		return fmt.Errorf("universe: snapshot has %d submitted records, ledger says %d — the two files are from different runs", st.Submitted, m.Submitted)

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"cablevod/internal/core"
+	"cablevod/internal/hfc"
+	"cablevod/internal/trace"
 )
 
 // runToCompletion drives LongRun in legsPerCall-sized invocations
@@ -194,5 +196,19 @@ func TestLongRunRejectsForeignSnapshot(t *testing.T) {
 	}
 	if _, err := LongRun(quick, core.Config{}, LongRunOptions{Dir: dirA, Leg: 24 * time.Hour}); err == nil {
 		t.Fatal("foreign snapshot behind a matching ledger accepted")
+	}
+}
+
+// TestVerifySnapshotPopulation: a resumed state's users must be the
+// tier's dense population, user i at position i, so a repeated or
+// reordered user is refused.
+func TestVerifySnapshotPopulation(t *testing.T) {
+	tier := Config{Name: "t", Subscribers: 4, Neighborhoods: 1, Catalog: 5, Days: 1}
+	st := &core.SystemState{Config: core.Config{Topology: hfc.Config{NeighborhoodSize: 4}}}
+	for users, ok := range map[[4]trace.UserID]bool{{0, 1, 2, 3}: true, {0, 1, 1, 2}: false, {0, 2, 1, 3}: false} {
+		st.Users = users[:]
+		if err := verifySnapshot(st, tier, runMeta{}); (err == nil) != ok {
+			t.Errorf("users %v: err = %v, want ok %v", users, err, ok)
+		}
 	}
 }

@@ -9,8 +9,8 @@
 // never materialized. What does live in memory is the plant and the
 // engine's hot per-session state, which internal/core keeps in
 // shard-owned slabs for exactly this reason. The package adds the
-// remaining discipline: a compact Interner for dense ID spaces, a
-// process memory reading (MeasureFootprint, PeakRSS), and LongRun,
+// remaining discipline: a process memory reading (MeasureFootprint,
+// PeakRSS), and LongRun,
 // which splits a multi-day run into resumable legs checkpointed
 // through core.SaveStateFile.
 //
