@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -376,5 +377,65 @@ func TestSingleReplicaPlacementOneCellPerSegment(t *testing.T) {
 				t.Fatalf("fill %v, %s: nothing placed", fill, name)
 			}
 		}
+	}
+}
+
+// TestRestoreOnBroadcastMatchesUninterrupted: under on-broadcast fill
+// with two replicas, restored rows carry fewer copies than their plan
+// and widen on later fills; the restored run still matches the
+// uninterrupted one.
+func TestRestoreOnBroadcastMatchesUninterrupted(t *testing.T) {
+	tr := snapshotTestTrace(t)
+	cfg := snapshotTestConfig("lfu", 1)
+	cfg.Fill = FillOnBroadcast
+	cfg.Replicas = 2
+	cut := len(tr.Records) / 2
+	base, err := NewSystem(cfg, WorkloadFromTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := base.SubmitBatch(tr.Records); err != nil {
+		t.Fatal(err)
+	}
+	baseRes, err := base.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sys, err := NewSystem(cfg, WorkloadFromTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SubmitBatch(tr.Records[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sys.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreSystem(st, RestoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow := 0
+	for _, sh := range restored.shards {
+		for k := range sh.is.placement {
+			if pp := &sh.is.placement[k]; pp.replicas != 0 && int(pp.stride) < sh.is.fullStride(int(pp.replicas)) {
+				narrow++
+			}
+		}
+	}
+	if narrow == 0 {
+		t.Fatal("no restored placement is narrower than its plan; the widening path is not exercised")
+	}
+	if err := restored.SubmitBatch(tr.Records[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	restRes, err := restored.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := normalizeResult(restRes), normalizeResult(baseRes); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored run diverged:\nbase:     %+v\nrestored: %+v", want, got)
 	}
 }

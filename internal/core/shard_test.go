@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -47,6 +48,25 @@ func normalizeResult(res *Result) *Result {
 	return res
 }
 
+// runStreaming drives tr through Submit record by record.
+func runStreaming(t *testing.T, cfg Config, tr *trace.Trace) *Result {
+	t.Helper()
+	sys, err := NewSystem(cfg, WorkloadFromTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range tr.Records {
+		if err := sys.Submit(rec); err != nil {
+			t.Fatalf("submit record %d: %v", i, err)
+		}
+	}
+	res, err := sys.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // runBatched drives tr through SubmitBatch in chunks, with a Snapshot
 // between chunks to exercise mid-flight flushing.
 func runBatched(t *testing.T, cfg Config, tr *trace.Trace, chunk int) *Result {
@@ -70,6 +90,113 @@ func runBatched(t *testing.T, cfg Config, tr *trace.Trace, chunk int) *Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestShardedEngineEquivalence is the determinism contract of the
+// sharded engine: for every built-in strategy, fill mode, and seed, the
+// batch Run and the Submit-driven online engine produce bit-identical
+// Results at parallelism 1 (the serial path), 4, and GOMAXPROCS.
+func TestShardedEngineEquivalence(t *testing.T) {
+	strategies := []Strategy{StrategyLRU, StrategyLFU, StrategyOracle, StrategyGlobalLFU}
+	fills := []FillMode{FillImmediate, FillOnBroadcast}
+	levels := []int{1, 4, runtime.GOMAXPROCS(0)}
+
+	for seed := uint64(1); seed <= 3; seed++ {
+		tr := shardTestTrace(t, seed)
+		for _, strat := range strategies {
+			for _, fill := range fills {
+				var want *Result
+				for _, par := range levels {
+					cfg := shardTestConfig(strat, fill, par)
+					batch, err := Run(cfg, tr)
+					if err != nil {
+						t.Fatalf("seed %d %v/%v par %d: %v", seed, strat, fill, par, err)
+					}
+					normalizeResult(batch)
+					if want == nil {
+						want = batch
+					} else if !reflect.DeepEqual(batch, want) {
+						t.Errorf("seed %d %v/%v: Run at parallelism %d differs from parallelism %d",
+							seed, strat, fill, par, levels[0])
+					}
+					stream := normalizeResult(runStreaming(t, cfg, tr))
+					if !reflect.DeepEqual(stream, want) {
+						t.Errorf("seed %d %v/%v: Submit-driven result at parallelism %d differs from batch",
+							seed, strat, fill, par)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSubmitBatchMatchesSubmit: chunked SubmitBatch ingest (with
+// mid-flight snapshots) equals per-record Submit at every parallelism.
+func TestSubmitBatchMatchesSubmit(t *testing.T) {
+	tr := shardTestTrace(t, 1)
+	for _, strat := range []Strategy{StrategyLFU, StrategyGlobalLFU} {
+		want := normalizeResult(runStreaming(t, shardTestConfig(strat, FillImmediate, 1), tr))
+		for _, par := range []int{1, 4} {
+			for _, chunk := range []int{1, 97, 1000, len(tr.Records)} {
+				cfg := shardTestConfig(strat, FillImmediate, par)
+				got := normalizeResult(runBatched(t, cfg, tr, chunk))
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v: SubmitBatch(chunk=%d, parallelism=%d) differs from serial Submit",
+						strat, chunk, par)
+				}
+			}
+		}
+	}
+}
+
+// TestGlobalLFULagEpochEquivalence pins the epoch-barrier path: with a
+// publication lag, global-LFU shards run concurrently between
+// publication instants and must still match the parallelism-1 engine,
+// which publishes at the same barriers on one worker, bit for bit.
+// (With lag 0 the live feed couples neighborhoods per request and the
+// engine serializes, which is equivalence-trivial; the lagged feeds are
+// where the barrier logic actually executes.)
+func TestGlobalLFULagEpochEquivalence(t *testing.T) {
+	for seed := uint64(1); seed <= 2; seed++ {
+		tr := shardTestTrace(t, seed)
+		for _, lag := range []time.Duration{30 * time.Minute, 2 * time.Hour} {
+			serialCfg := shardTestConfig(StrategyGlobalLFU, FillImmediate, 1)
+			serialCfg.GlobalLag = lag
+			want, err := Run(serialCfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			normalizeResult(want)
+
+			parCfg := serialCfg
+			parCfg.Parallelism = 4
+
+			// The parallel run must actually take the epoch-coupled path.
+			sys, err := NewSystem(parCfg, WorkloadFromTrace(tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sys.mode != shardsEpochCoupled {
+				t.Fatalf("lag %v parallel 4: mode = %d, want epoch-coupled", lag, sys.mode)
+			}
+			if err := sys.SubmitBatch(tr.Records); err != nil {
+				t.Fatal(err)
+			}
+			got, err := sys.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(normalizeResult(got), want) {
+				t.Errorf("seed %d lag %v: epoch-coupled parallel result differs from serial", seed, lag)
+			}
+
+			// And record-by-record submission drives the same barriers.
+			stream := normalizeResult(runStreaming(t, parCfg, tr))
+			if !reflect.DeepEqual(stream, want) {
+				t.Errorf("seed %d lag %v: streaming epoch-coupled result differs from serial", seed, lag)
+			}
+		}
+	}
 }
 
 // TestShardModeSelection: the engine picks the concurrency class from

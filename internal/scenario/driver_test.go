@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,9 +10,10 @@ import (
 	"cablevod/internal/units"
 )
 
-// coverageSpec is a small flash-crowd scenario: two days, flat
-// activity and several sessions per user-day, so every subscriber
-// plays and every checkpoint sees sessions grow.
+// coverageSpec is a flash-crowd scenario tuned so every subscriber
+// appears in the stream (flat activity, several sessions per user-day),
+// which lets the driver be compared against a batch Run whose workload
+// is derived from the materialized trace.
 func coverageSpec() Spec {
 	base := testBase()
 	base.Users = 150
@@ -35,6 +37,55 @@ func driverConfig(parallelism int) core.Config {
 		Strategy:    core.StrategyLFU,
 		WarmupDays:  0,
 		Parallelism: parallelism,
+	}
+}
+
+// normalize strips the one intentionally parallelism-dependent Result
+// field.
+func normalize(res *core.Result) *core.Result {
+	res.Config.Parallelism = 0
+	return res
+}
+
+// TestDriverMatchesBatchRun is the scenario equivalence suite: a
+// flash-crowd scenario streamed through the live Driver — at
+// parallelism 1 and GOMAXPROCS, at hour- and day-sized chunks — must
+// produce a final Result identical to the same records pre-materialized
+// and fed through the batch Run.
+func TestDriverMatchesBatchRun(t *testing.T) {
+	spec := coverageSpec()
+	tr, err := Materialize(spec, testTopo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The batch Run derives its population from the trace; the driver
+	// provisions the scenario population. The spec is tuned so they
+	// coincide — guard that before comparing.
+	if got, want := len(tr.Users()), len(spec.Population()); got != want {
+		t.Fatalf("coverage spec drifted: %d of %d subscribers appear in the trace", got, want)
+	}
+
+	want, err := core.Run(driverConfig(1), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	normalize(want)
+
+	for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		for _, chunk := range []time.Duration{time.Hour, 24 * time.Hour} {
+			d, err := NewDriver(driverConfig(par), spec, Options{Chunk: chunk})
+			if err != nil {
+				t.Fatalf("par %d chunk %v: %v", par, chunk, err)
+			}
+			got, err := d.Run()
+			if err != nil {
+				t.Fatalf("par %d chunk %v: %v", par, chunk, err)
+			}
+			if !reflect.DeepEqual(normalize(got), want) {
+				t.Errorf("par %d chunk %v: driver result differs from batch Run\nbatch:  %+v\ndriver: %+v",
+					par, chunk, want, got)
+			}
+		}
 	}
 }
 
@@ -199,5 +250,40 @@ func TestDriverRunOnce(t *testing.T) {
 	}
 	if _, err := d.Run(); err == nil {
 		t.Error("expected error on second Run")
+	}
+}
+
+// TestDriverParallelShards exercises the concurrent engine path under
+// the race detector: a regional scenario on a 4-worker pool must match
+// the serial run.
+func TestDriverParallelShards(t *testing.T) {
+	base := testBase()
+	spec := Spec{
+		Name: "regional",
+		Base: base,
+		Phases: []Phase{
+			{Name: "local-flash", From: 1 * units.Day, To: 2 * units.Day, Modulators: []Modulator{
+				FlashCrowd{Program: 0, Factor: 30, RateBoost: 1.5, Local: true, Neighborhood: 1},
+				SkewDrift{Strength: 0.6},
+			}},
+		},
+	}
+	var results []*core.Result
+	for _, par := range []int{1, 4} {
+		d, err := NewDriver(driverConfig(par), spec, Options{Chunk: 6 * time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, normalize(res))
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Error("regional scenario differs between serial and 4-worker pools")
+	}
+	if results[0].Counters.Sessions == 0 {
+		t.Error("regional scenario generated no sessions")
 	}
 }
