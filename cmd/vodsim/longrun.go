@@ -39,51 +39,34 @@ func coreConfig(cfg cablevod.Config) core.Config {
 }
 
 // runScale streams a universe tier's whole workload through the engine
-// in one uninterrupted pass, printing per-day progress to stderr. The
-// workload is generated hour by hour and never materialized.
+// in one uninterrupted pass, one SubmitBatch per generated hour,
+// printing per-day progress to stderr. The workload is generated hour
+// by hour and never materialized.
 func runScale(tier universe.Config, cfg cablevod.Config) (*cablevod.Result, error) {
-	base := tier.EngineConfig(coreConfig(cfg))
-	spec := tier.Spec()
-	stream, population, err := scenario.NewStream(spec, base.Topology)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystem(base, core.Workload{Users: population, Lengths: stream.Lengths()})
-	if err != nil {
-		return nil, err
-	}
-	for _, ph := range spec.Phases {
-		for i, f := range ph.Faults {
-			if err := sys.Disrupt(f); err != nil {
-				return nil, fmt.Errorf("universe %s: phase %q fault %d (%s): %w", tier.Name, ph.Name, i, f.Kind(), err)
+	var start time.Time
+	var liveHeap uint64
+	d, err := scenario.NewDriver(tier.EngineConfig(coreConfig(cfg)), tier.Spec(), scenario.Options{
+		Chunk:      time.Hour,
+		Checkpoint: 24 * time.Hour,
+		OnCheckpoint: func(cp scenario.Checkpoint) error {
+			day, n := int(cp.At/(24*time.Hour)), cp.Metrics.Submitted
+			fmt.Fprintf(os.Stderr, "vodsim: day %d/%d — %d records (%.0f rec/s)\n",
+				day, tier.Days, n, float64(n)/time.Since(start).Seconds())
+			if day == tier.Days {
+				// The engine is still open: this is the plant's live heap.
+				liveHeap = universe.MeasureFootprint().HeapLiveBytes
 			}
-		}
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
+	sys := d.System()
 	fmt.Fprintf(os.Stderr, "vodsim: universe %s — %d subscribers, %d neighborhoods (%d shards on a %d-worker pool), ~%d records over %d days\n",
 		tier.Name, tier.Subscribers, tier.Neighborhoods, sys.Shards(), sys.Parallelism(), tier.Records(), tier.Days)
-
-	start := time.Now()
-	submitted, hours := 0, 0
-	for !stream.Done() {
-		recs, _, err := stream.NextHour()
-		if err != nil {
-			return nil, err
-		}
-		hours++
-		if len(recs) > 0 {
-			if err := sys.SubmitBatch(recs); err != nil {
-				return nil, err
-			}
-			submitted += len(recs)
-		}
-		if hours%24 == 0 {
-			elapsed := time.Since(start).Seconds()
-			fmt.Fprintf(os.Stderr, "vodsim: day %d/%d — %d records (%.0f rec/s)\n",
-				hours/24, tier.Days, submitted, float64(submitted)/elapsed)
-		}
-	}
-	liveHeap := universe.MeasureFootprint().HeapLiveBytes
-	res, err := sys.Close()
+	start = time.Now()
+	res, err := d.Run()
 	if err != nil {
 		return nil, err
 	}

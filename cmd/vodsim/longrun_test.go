@@ -4,6 +4,7 @@ import (
 	"os"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"cablevod/internal/universe"
@@ -44,5 +45,18 @@ func TestScaleReportsOpenEngineHeap(t *testing.T) {
 			t.Errorf("%s: reported live heap %.1f MB, %.1f MB once the run returned: the reading missed the plant",
 				tc.name, reported, after)
 		}
+	}
+}
+
+// TestScaleReportsAppliedWarmup: the default 7-day warm-up would cover
+// all of a 1-day run, so none is applied, and the report says so.
+func TestScaleReportsAppliedWarmup(t *testing.T) {
+	var out string
+	captureOutput(t, &os.Stderr, func() error {
+		out = captureOutput(t, &os.Stdout, func() error { return run([]string{"-scale", "mega-lite", "-synth-days", "1"}) })
+		return nil
+	})
+	if !strings.Contains(out, "trace days          1 (warmup 0)\n") {
+		t.Errorf("the report does not show the warm-up applied:\n%s", out)
 	}
 }

@@ -475,7 +475,7 @@ func printResult(res *cablevod.Result, elapsed time.Duration) {
 	fmt.Printf("strategy            %v (fill %v)\n", res.Config.StrategyLabel(), res.Config.Fill)
 	fmt.Printf("neighborhoods       %d x %d subscribers\n", res.Neighborhoods, res.Config.Topology.NeighborhoodSize)
 	fmt.Printf("cache/neighborhood  %v\n", res.Config.TotalCachePerNeighborhood())
-	fmt.Printf("trace days          %d (warmup %d)\n", res.Days, res.Config.WarmupDays)
+	fmt.Printf("trace days          %d (warmup %d)\n", res.Days, res.AppliedWarmup())
 	fmt.Println()
 	fmt.Printf("server load (peak)  %.2f Gb/s  [p05 %.2f, p95 %.2f]\n",
 		res.Server.Mean.Gbps(), res.Server.P05.Gbps(), res.Server.P95.Gbps())

@@ -55,14 +55,15 @@ func invalid(f Fault) error {
 	return nil
 }
 
-// neighborhoods resolves a fault's target list: the named neighborhood,
-// or all of them for -1.
-func neighborhoods(topo *hfc.Topology, nb int) ([]*hfc.Neighborhood, error) {
+// neighborhoods resolves fault f's target list: the named neighborhood
+// nb, or all of them for -1. A neighborhood the plant lacks is refused
+// with f's kind, as invalid refuses a bad parameter.
+func neighborhoods(topo *hfc.Topology, f Fault, nb int) ([]*hfc.Neighborhood, error) {
 	if nb == -1 {
 		return topo.Neighborhoods(), nil
 	}
 	if nb < 0 || nb >= topo.NeighborhoodCount() {
-		return nil, fmt.Errorf("neighborhood %d of %d", nb, topo.NeighborhoodCount())
+		return nil, fmt.Errorf("adversity: %s: neighborhood %d of %d", f.Kind(), nb, topo.NeighborhoodCount())
 	}
 	return topo.Neighborhoods()[nb : nb+1], nil
 }
@@ -129,7 +130,7 @@ func (f NodeFailure) Disruptions(topo *hfc.Topology, cfg core.Config) ([]core.Di
 	if err := invalid(f); err != nil {
 		return nil, err
 	}
-	nbs, err := neighborhoods(topo, f.Neighborhood)
+	nbs, err := neighborhoods(topo, f, f.Neighborhood)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +206,7 @@ func (f ColdRestart) Disruptions(topo *hfc.Topology, cfg core.Config) ([]core.Di
 	if err := invalid(f); err != nil {
 		return nil, err
 	}
-	if _, err := neighborhoods(topo, f.Neighborhood); err != nil {
+	if _, err := neighborhoods(topo, f, f.Neighborhood); err != nil {
 		return nil, err
 	}
 	return []core.Disruption{{At: f.At, Kind: core.DisruptColdRestart, Neighborhood: f.Neighborhood}}, nil
@@ -250,7 +251,7 @@ func (f CoaxDegrade) Disruptions(topo *hfc.Topology, cfg core.Config) ([]core.Di
 	if err := invalid(f); err != nil {
 		return nil, err
 	}
-	if _, err := neighborhoods(topo, f.Neighborhood); err != nil {
+	if _, err := neighborhoods(topo, f, f.Neighborhood); err != nil {
 		return nil, err
 	}
 	base := baseCoaxCapacity(topo)
@@ -309,7 +310,7 @@ func (f HeteroCache) Disruptions(topo *hfc.Topology, cfg core.Config) ([]core.Di
 	if err := invalid(f); err != nil {
 		return nil, err
 	}
-	nbs, err := neighborhoods(topo, f.Neighborhood)
+	nbs, err := neighborhoods(topo, f, f.Neighborhood)
 	if err != nil {
 		return nil, err
 	}

@@ -352,21 +352,21 @@ func (p *plan) drive(chunk time.Duration, par int) ([]outcome, error) {
 	cfg.Parallelism = par
 	out := outcome{snaps: map[int]core.Metrics{}}
 	var d *scenario.Driver
-	var digestErr error
 	d, err := scenario.NewDriver(cfg, p.spec, scenario.Options{
 		Chunk:      chunk,
 		Checkpoint: chunk,
-		OnCheckpoint: func(cp scenario.Checkpoint) {
+		OnCheckpoint: func(cp scenario.Checkpoint) (err error) {
 			out.snaps[int(cp.At/time.Hour)-1] = cp.Metrics
 			if cp.At == p.spec.Span() && !p.sharedFeed() {
-				out.digest, digestErr = stateDigest(d.System())
+				out.digest, err = stateDigest(d.System())
 			}
+			return err
 		},
 	})
 	if err == nil {
 		out.res, err = d.Run()
 	}
-	return []outcome{out}, cmp.Or(err, digestErr)
+	return []outcome{out}, err
 }
 
 // restore loads the reference's checkpoint file and restores it at
@@ -478,7 +478,7 @@ func (p *plan) reference(dir string) (outcome, error) {
 	err = p.feed(sys, &out, 0, p.hourCuts(0, len(p.records)), false, func(h int, m core.Metrics) error {
 		if h == p.checkpoint && !p.sharedFeed() {
 			p.statePath = filepath.Join(dir, "state.snap")
-			if err := sys.Checkpoint(p.statePath, discard{}); err != nil {
+			if err := sys.Checkpoint(p.statePath, nil); err != nil {
 				return err
 			}
 		}
@@ -501,12 +501,6 @@ func (p *plan) reference(dir string) (outcome, error) {
 	}
 	return out, err
 }
-
-// discard is a core.StateSink that keeps nothing.
-type discard struct{}
-
-func (discard) Head(*core.SystemState, int) error { return nil }
-func (discard) Shard(*core.ShardState) error      { return nil }
 
 // invariants checks the conservation laws in m, taken after submitted
 // records, and that no shard cursor or counter fell since prev; closed

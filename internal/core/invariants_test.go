@@ -36,11 +36,14 @@ func TestSystemInvariants(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Topology = hfc.Config{NeighborhoodSize: 300, PerPeerStorage: 2 * units.GB}
-			sim, err := NewSimulation(cfg, tr)
+			sys, err := NewSystem(cfg, WorkloadFromTrace(tr))
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sim.Run()
+			if err := sys.SubmitBatch(tr.Records); err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +64,7 @@ func TestSystemInvariants(t *testing.T) {
 
 			// Stream balance: every open stream was released by the
 			// time the queue drained.
-			for _, nb := range sim.Topology().Neighborhoods() {
+			for _, nb := range sys.Topology().Neighborhoods() {
 				for _, peer := range nb.Peers() {
 					if got := peer.ActiveStreams(); got != 0 {
 						t.Fatalf("peer %v leaked %d streams", peer.ID(), got)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"cablevod/internal/hfc"
 	"cablevod/internal/metrics"
 	"cablevod/internal/trace"
 	"cablevod/internal/units"
@@ -93,18 +92,20 @@ type Result struct {
 	DemandBits int64
 }
 
-// Simulation replays a trace against the cooperative-cache system. It is
-// the batch driver over the online System engine: the trace supplies the
-// population, catalog, and future knowledge up front, and Run feeds the
-// records through the engine in order.
-type Simulation struct {
-	sys *System
-	tr  *trace.Trace
-	ran bool
+// AppliedWarmup is the number of leading days the peak-window
+// statistics exclude: Config.WarmupDays, or none when that would cover
+// all of the run's Days.
+func (r *Result) AppliedWarmup() int {
+	if r.Config.WarmupDays >= r.Days {
+		return 0
+	}
+	return r.Config.WarmupDays
 }
 
-// NewSimulation wires the plant, strategies and meters for a run over tr.
-func NewSimulation(cfg Config, tr *trace.Trace) (*Simulation, error) {
+// Run replays a whole sorted trace through a new System, in one
+// SubmitBatch, and closes it. The trace supplies the population, the
+// catalog and the future knowledge up front.
+func Run(cfg Config, tr *trace.Trace) (*Result, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("core: empty trace")
 	}
@@ -115,34 +116,8 @@ func NewSimulation(cfg Config, tr *trace.Trace) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{sys: sys, tr: tr}, nil
-}
-
-// Topology returns the built plant.
-func (s *Simulation) Topology() *hfc.Topology { return s.sys.Topology() }
-
-// System returns the underlying online engine.
-func (s *Simulation) System() *System { return s.sys }
-
-// Run replays the whole trace and assembles the result. The trace is
-// partitioned across the engine's per-neighborhood shards once up front
-// (SubmitBatch) and replayed on the configured worker pool.
-func (s *Simulation) Run() (*Result, error) {
-	if s.ran {
-		return nil, fmt.Errorf("core: simulation already run")
-	}
-	s.ran = true
-	if err := s.sys.SubmitBatch(s.tr.Records); err != nil {
+	if err := sys.SubmitBatch(tr.Records); err != nil {
 		return nil, err
 	}
-	return s.sys.Close()
-}
-
-// Run builds and runs a simulation in one call.
-func Run(cfg Config, tr *trace.Trace) (*Result, error) {
-	sim, err := NewSimulation(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run()
+	return sys.Close()
 }

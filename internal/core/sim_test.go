@@ -226,11 +226,14 @@ func TestSimulationEvictionFreesPeerStorage(t *testing.T) {
 		Topology: hfc.Config{NeighborhoodSize: 2, PerPeerStorage: 400 * units.MB},
 		Strategy: StrategyLRU,
 	}
-	sim, err := NewSimulation(cfg, tr)
+	sys, err := NewSystem(cfg, WorkloadFromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run()
+	if err := sys.SubmitBatch(tr.Records); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,42 +242,25 @@ func TestSimulationEvictionFreesPeerStorage(t *testing.T) {
 		t.Errorf("hits = %d, want 0", res.Counters.Hits)
 	}
 	// After the run only one program's segments are stored.
-	stored := sim.System().Server(0).StoredBytes()
+	stored := sys.Server(0).StoredBytes()
 	maxOne := units.StreamRate.BytesIn(10 * time.Minute)
 	if stored > maxOne {
 		t.Errorf("stored = %v, want <= one program (%v)", stored, maxOne)
 	}
 }
 
-func TestSimulationRunTwiceFails(t *testing.T) {
-	tr := tinyTrace(
-		map[trace.ProgramID]time.Duration{1: 5 * time.Minute},
-		trace.Record{User: 1, Program: 1, Start: 0, Duration: 5 * time.Minute},
-	)
-	sim, err := NewSimulation(oneNeighborhoodConfig(StrategyLRU), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(); err == nil {
-		t.Error("expected error on second Run")
-	}
-}
-
 func TestSimulationErrors(t *testing.T) {
 	tr := tinyTrace(map[trace.ProgramID]time.Duration{1: 5 * time.Minute})
-	if _, err := NewSimulation(oneNeighborhoodConfig(StrategyLRU), tr); err == nil {
+	if _, err := Run(oneNeighborhoodConfig(StrategyLRU), tr); err == nil {
 		t.Error("expected error for empty trace")
 	}
-	if _, err := NewSimulation(oneNeighborhoodConfig(StrategyLRU), nil); err == nil {
+	if _, err := Run(oneNeighborhoodConfig(StrategyLRU), nil); err == nil {
 		t.Error("expected error for nil trace")
 	}
 	unsorted := trace.New()
 	unsorted.Append(trace.Record{User: 1, Program: 1, Start: time.Hour, Duration: time.Minute})
 	unsorted.Append(trace.Record{User: 1, Program: 1, Start: 0, Duration: time.Minute})
-	if _, err := NewSimulation(oneNeighborhoodConfig(StrategyLRU), unsorted); err == nil {
+	if _, err := Run(oneNeighborhoodConfig(StrategyLRU), unsorted); err == nil {
 		t.Error("expected error for unsorted trace")
 	}
 }

@@ -257,19 +257,23 @@ func (s *sectionReader) next() (decoder, error) {
 // rename), so a crash mid-write never leaves a truncated snapshot where
 // a good one was expected.
 func SaveStateFile(path string, st *SystemState) error {
-	return saveFile(path, func(w io.Writer) error { return WriteState(w, st) })
+	return SaveFile(path, func(w io.Writer) error { return WriteState(w, st) })
 }
 
 // Checkpoint writes the live engine's state to path as
 // SaveStateFile(path, ExportState()) would, but exports, encodes and
 // drops one shard at a time, so no copy of the whole engine is ever
 // held, and exports each shard into the memory of the one before, so a
-// call's garbage is about one shard's. also receives every part too,
-// after the file, valid only for that call (StateSink): a digest rides
-// the same pass.
+// call's garbage is about one shard's. also, when not nil, receives
+// every part too, after the file, valid only for that call (StateSink):
+// a digest rides the same pass.
 func (s *System) Checkpoint(path string, also StateSink) error {
-	return saveFile(path, func(w io.Writer) error {
-		return s.streamState(teeSink{&stateEncoder{w: w}, also}, true)
+	return SaveFile(path, func(w io.Writer) error {
+		var sink StateSink = &stateEncoder{w: w}
+		if also != nil {
+			sink = teeSink{sink, also}
+		}
+		return s.streamState(sink, true)
 	})
 }
 
@@ -294,15 +298,15 @@ func (t teeSink) Shard(sh *ShardState) error {
 	return nil
 }
 
-// saveFile writes path atomically: write fills a buffered temp file,
+// SaveFile writes path atomically: write fills a buffered temp file,
 // which is flushed, synced, closed and renamed over path. The sync
 // comes before the rename, so after a crash path holds the old file or
 // the whole new one, never a renamed file whose data was still in the
-// page cache.
-func saveFile(path string, write func(io.Writer) error) error {
+// page cache. State files and the long-run ledger are written this way.
+func SaveFile(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".snapshot-*")
 	if err != nil {
-		return fmt.Errorf("core: save snapshot: %w", err)
+		return fmt.Errorf("core: save %s: %w", path, err)
 	}
 	defer os.Remove(tmp.Name())
 	bw := bufio.NewWriter(tmp)
@@ -312,17 +316,17 @@ func saveFile(path string, write func(io.Writer) error) error {
 	}
 	if err := bw.Flush(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("core: save snapshot: %w", err)
+		return fmt.Errorf("core: save %s: %w", path, err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("core: save snapshot: %w", err)
+		return fmt.Errorf("core: save %s: %w", path, err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("core: save snapshot: %w", err)
+		return fmt.Errorf("core: save %s: %w", path, err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("core: save snapshot: %w", err)
+		return fmt.Errorf("core: save %s: %w", path, err)
 	}
 	return nil
 }

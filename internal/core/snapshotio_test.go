@@ -274,7 +274,7 @@ func TestStateFileCanonical(t *testing.T) {
 		t.Fatalf("write, read and write again differs (%d and %d bytes)", len(first), len(again))
 	}
 	path := filepath.Join(t.TempDir(), "state.snap")
-	if err := sys.Checkpoint(path, discardSink{}); err != nil {
+	if err := sys.Checkpoint(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	if live, err := os.ReadFile(path); err != nil || !bytes.Equal(first, live) {
@@ -282,10 +282,22 @@ func TestStateFileCanonical(t *testing.T) {
 	}
 }
 
-type discardSink struct{}
-
-func (discardSink) Head(*SystemState, int) error { return nil }
-func (discardSink) Shard(*ShardState) error      { return nil }
+// TestCheckpointWithoutSink: a nil second sink makes Checkpoint write
+// only the file, which loads back as a state.
+func TestCheckpointWithoutSink(t *testing.T) {
+	tr := snapshotTestTrace(t)
+	sys, err := NewSystem(snapshotTestConfig("lfu", 1), WorkloadFromTrace(tr))
+	path := filepath.Join(t.TempDir(), "state.snap")
+	if err == nil {
+		err = sys.Checkpoint(path, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadStateFile(path); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestStateCodecFieldLists fails when a state type gains a field the
 // state file does not carry. For every exported field of every type the

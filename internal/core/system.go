@@ -478,35 +478,24 @@ func (s *System) Close() (*Result, error) {
 	}
 	s.forShards(s.shards, func(sh *shard) { sh.queue.Run() })
 
-	days := s.days()
-	warmup := s.cfg.WarmupDays
-	if warmup >= days {
-		warmup = 0 // a warmup longer than the trace would erase the run
-	}
+	res := &Result{Config: s.cfg, Days: s.days(), Neighborhoods: len(s.shards)}
+	days, warmup := res.Days, res.AppliedWarmup()
 
 	// Central-server load and demand are time-aligned sums of the
 	// per-shard meters: integer bits per hour bucket, so the merge is
 	// exact and order-independent.
 	serverMeter := metrics.NewRateMeter()
 	demandMeter := metrics.NewRateMeter()
-	var counters Counters
 	for _, sh := range s.shards {
 		serverMeter.Merge(sh.serverMeter)
 		demandMeter.Merge(sh.demandMeter)
-		counters.Add(sh.counters)
+		res.Counters.Add(sh.counters)
 	}
-
-	res := &Result{
-		Config:        s.cfg,
-		Days:          days,
-		Counters:      counters,
-		Server:        serverMeter.PeakStatsRange(warmup, days),
-		ServerHourly:  serverMeter.HourOfDayAverage(days),
-		Demand:        demandMeter.PeakStatsRange(warmup, days),
-		Neighborhoods: len(s.shards),
-		ServerBits:    serverMeter.TotalBits(),
-		DemandBits:    demandMeter.TotalBits(),
-	}
+	res.Server = serverMeter.PeakStatsRange(warmup, days)
+	res.ServerHourly = serverMeter.HourOfDayAverage(days)
+	res.Demand = demandMeter.PeakStatsRange(warmup, days)
+	res.ServerBits = serverMeter.TotalBits()
+	res.DemandBits = demandMeter.TotalBits()
 	// Pool peak-hour samples across every neighborhood for Figure 14.
 	var coaxSamples []units.BitRate
 	for _, sh := range s.shards {

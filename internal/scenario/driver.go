@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -24,14 +25,18 @@ type Options struct {
 	Chunk time.Duration
 
 	// Checkpoint emits a Snapshot-based checkpoint every this much
-	// virtual time (0 = no periodic checkpoints). Checkpoints force the
-	// pending chunk out first, so each one reflects exactly the records
-	// up to its instant.
+	// virtual time, and one at the stream's end when the span is not a
+	// whole number of intervals (0 = no checkpoints). Checkpoints force
+	// the pending chunk out first, so each one reflects exactly the
+	// records up to its instant.
 	Checkpoint time.Duration
 
-	// OnCheckpoint, when set, observes each checkpoint as it is taken;
-	// the full series is also collected on the Driver.
-	OnCheckpoint func(Checkpoint)
+	// OnCheckpoint, when set, receives each checkpoint as it is taken,
+	// with the engine quiescent at the checkpoint's instant; the full
+	// series is also collected on the Driver. Returning Pause stops Run
+	// right there without closing the engine; any other error aborts
+	// the run.
+	OnCheckpoint func(Checkpoint) error
 
 	// Acceleration rate-limits the virtual clock to at most this many
 	// virtual seconds per wall-clock second (0 = unthrottled). An
@@ -86,6 +91,24 @@ func (o Options) validate() error {
 	return nil
 }
 
+// withDefaults fills the unset chunk and clock, rounding the chunk up
+// to whole hours, the stream's generation granularity.
+func (o Options) withDefaults() Options {
+	if o.Chunk == 0 {
+		o.Chunk = DefaultChunk
+	}
+	if rem := o.Chunk % time.Hour; rem != 0 {
+		o.Chunk += time.Hour - rem
+	}
+	if o.now == nil {
+		o.now = time.Now
+	}
+	if o.sleep == nil {
+		o.sleep = stoppableSleep(o.Stop)
+	}
+	return o
+}
+
 // Checkpoint is one mid-scenario measurement: the live engine
 // aggregates at a virtual instant, labelled with the phases active
 // there — the hook that lets strategies be compared during a flash
@@ -104,58 +127,67 @@ type Checkpoint struct {
 	Metrics core.Metrics
 }
 
+// Pause, returned by an OnCheckpoint hook, stops Driver.Run after that
+// checkpoint with the engine left open: Run returns a nil Result and a
+// nil error, and the System holds exactly the records up to the
+// checkpoint, ready to be saved and resumed with ResumeDriver.
+var Pause = errors.New("scenario: pause")
+
 // Driver streams a scenario's lazily generated records into a live
 // core.System in chunk-sized SubmitBatch windows under a virtual clock,
 // optionally rate-limited to a wall-clock acceleration factor and
 // emitting periodic checkpoints. The engine is built for the
 // scenario's full population and catalog; results are bit-identical at
-// every Config.Parallelism and every chunking.
+// every Config.Parallelism and every chunking. Run is the one loop that
+// feeds a scenario's stream hours to the engine: scenario runs, the
+// daemon, universe.LongRun's checkpointed legs and vodsim -scale all
+// run on it.
 type Driver struct {
 	spec   Spec
 	opts   Options
 	topo   hfc.Config
 	sys    *core.System
 	stream *synth.Stream
+	from   time.Duration // the virtual time the stream resumes at
 
 	checkpoints []Checkpoint
 	ran         bool
 	stopped     bool
 }
 
+// NewStream compiles the spec against the plant topology and returns
+// its lazy record stream plus the full population the engine must be
+// provisioned for (base subscribers and churn joiners). It builds no
+// engine: NewDriver and ResumeDriver add one, and Materialize drains
+// the stream into a trace. Two streams from the same spec and topology
+// emit the same records hour for hour.
+func NewStream(spec Spec, topo hfc.Config) (*synth.Stream, []trace.UserID, error) {
+	comp, err := spec.compile(topo)
+	if err != nil {
+		return nil, nil, err
+	}
+	stream, err := synth.NewStream(comp.streamConfig(), comp.hooks())
+	if err != nil {
+		return nil, nil, err
+	}
+	return stream, comp.population, nil
+}
+
 // NewDriver validates the spec against the engine configuration,
-// compiles its modulators, and builds the live System for the
-// scenario's population and catalog. Offline strategies (the oracle)
-// are rejected by the engine: a live scenario stream has no future
+// compiles its stream, builds the live System for the scenario's
+// population and catalog, and arms every phase's faults: the one place
+// a scenario's plant is built. Offline strategies (the oracle) are
+// rejected by the engine: a live scenario stream has no future
 // knowledge to hand them.
 func NewDriver(cfg core.Config, spec Spec, opts Options) (*Driver, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if opts.Chunk == 0 {
-		opts.Chunk = DefaultChunk
-	}
-	if rem := opts.Chunk % time.Hour; rem != 0 {
-		opts.Chunk += time.Hour - rem
-	}
-	if opts.now == nil {
-		opts.now = time.Now
-	}
-	if opts.sleep == nil {
-		opts.sleep = stoppableSleep(opts.Stop)
-	}
-
-	comp, err := spec.compile(cfg.Topology)
+	stream, users, err := NewStream(spec, cfg.Topology)
 	if err != nil {
 		return nil, err
 	}
-	stream, err := synth.NewStream(comp.streamConfig(), comp.hooks())
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystem(cfg, core.Workload{
-		Users:   comp.population,
-		Lengths: stream.Lengths(),
-	})
+	sys, err := core.NewSystem(cfg, core.Workload{Users: users, Lengths: stream.Lengths()})
 	if err != nil {
 		return nil, err
 	}
@@ -166,14 +198,47 @@ func NewDriver(cfg core.Config, spec Spec, opts Options) (*Driver, error) {
 			}
 		}
 	}
-	return &Driver{spec: spec, opts: opts, topo: cfg.Topology, sys: sys, stream: stream}, nil
+	return &Driver{spec: spec, opts: opts.withDefaults(), topo: cfg.Topology, sys: sys, stream: stream}, nil
+}
+
+// ResumeDriver restores st, the state of the spec's run after its first
+// hours hours, and returns a Driver that streams the rest. It
+// regenerates and skips those hours, and refuses a state whose record
+// count they do not match: a different seed or an edited spec. The
+// snapshot carries the faults not yet applied, so none are armed again.
+func ResumeDriver(st *core.SystemState, ro core.RestoreOptions, spec Spec, hours int, opts Options) (*Driver, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	stream, _, err := NewStream(spec, st.Config.Topology)
+	if err != nil {
+		return nil, err
+	}
+	skipped := 0
+	for h := 0; h < hours; h++ {
+		if stream.Done() {
+			return nil, fmt.Errorf("scenario: the snapshot claims %d hours but the %s workload ends after %d", hours, spec.Name, h)
+		}
+		recs, _, err := stream.NextHour()
+		if err != nil {
+			return nil, err
+		}
+		skipped += len(recs)
+	}
+	if hours < 0 || skipped != st.Submitted {
+		return nil, fmt.Errorf("scenario: regenerated %s workload diverges from the snapshot: %d records in %d hours, snapshot says %d — was the snapshot created with a different seed?",
+			spec.Name, skipped, hours, st.Submitted)
+	}
+	sys, err := core.RestoreSystem(st, ro)
+	if err != nil {
+		return nil, err
+	}
+	return &Driver{spec: spec, opts: opts.withDefaults(), topo: st.Config.Topology, sys: sys, stream: stream,
+		from: time.Duration(hours) * time.Hour}, nil
 }
 
 // System returns the live engine, for mid-run Snapshot access.
 func (d *Driver) System() *core.System { return d.sys }
-
-// Spec returns the scenario being driven.
-func (d *Driver) Spec() Spec { return d.spec }
 
 // Checkpoints returns the checkpoint series collected so far.
 func (d *Driver) Checkpoints() []Checkpoint { return d.checkpoints }
@@ -182,8 +247,9 @@ func (d *Driver) Checkpoints() []Checkpoint { return d.checkpoints }
 // request rather than by exhausting the scenario stream.
 func (d *Driver) Stopped() bool { return d.stopped }
 
-// Run streams the whole scenario and finalizes the engine. It can be
-// called once.
+// Run streams the rest of the scenario and finalizes the engine. It
+// can be called once. When OnCheckpoint returns Pause, Run returns a
+// nil Result and a nil error and leaves the engine open.
 func (d *Driver) Run() (*core.Result, error) {
 	if d.ran {
 		return nil, fmt.Errorf("scenario: driver already run")
@@ -192,8 +258,11 @@ func (d *Driver) Run() (*core.Result, error) {
 
 	start := d.opts.now()
 	var pending []trace.Record
-	pendingFrom := time.Duration(0)
+	pendingFrom := d.from
 	nextCheckpoint := d.opts.Checkpoint
+	if d.opts.Checkpoint > 0 {
+		nextCheckpoint = (d.from/d.opts.Checkpoint + 1) * d.opts.Checkpoint
+	}
 	snapshotDone := d.opts.SnapshotAt == 0
 
 	for !d.stream.Done() {
@@ -205,21 +274,27 @@ func (d *Driver) Run() (*core.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pending = append(pending, recs...)
 		hourEnd := info.Start + time.Hour
 
-		atCheckpoint := d.opts.Checkpoint > 0 && hourEnd >= nextCheckpoint
+		atCheckpoint := d.opts.Checkpoint > 0 && (hourEnd >= nextCheckpoint || d.stream.Done())
 		atSnapshot := !snapshotDone && hourEnd >= d.opts.SnapshotAt
-		if hourEnd-pendingFrom >= d.opts.Chunk || atCheckpoint || atSnapshot || d.stream.Done() {
-			if len(pending) > 0 {
-				if err := d.sys.SubmitBatch(pending); err != nil {
+		flush := hourEnd-pendingFrom >= d.opts.Chunk || atCheckpoint || atSnapshot || d.stream.Done()
+		if len(pending) > 0 || !flush {
+			// Only hours that share a chunk are copied; an hour that
+			// makes a chunk of its own goes to the engine as generated.
+			pending = append(pending, recs...)
+			recs = pending
+		}
+		if flush {
+			if len(recs) > 0 {
+				if err := d.sys.SubmitBatch(recs); err != nil {
 					return nil, fmt.Errorf("scenario %s: submitting hour d%02d/%02d: %w",
 						d.spec.Name, info.Day, info.Hour, err)
 				}
-				pending = pending[:0]
 			}
+			pending = pending[:0]
 			pendingFrom = hourEnd
-			d.throttle(start, hourEnd)
+			d.throttle(start, hourEnd-d.from)
 		}
 		if atSnapshot {
 			st, err := d.sys.ExportState()
@@ -248,11 +323,15 @@ func (d *Driver) Run() (*core.Result, error) {
 				Metrics: d.sys.Snapshot(),
 			}
 			d.checkpoints = append(d.checkpoints, cp)
-			if d.opts.OnCheckpoint != nil {
-				d.opts.OnCheckpoint(cp)
-			}
 			for nextCheckpoint <= hourEnd {
 				nextCheckpoint += d.opts.Checkpoint
+			}
+			if d.opts.OnCheckpoint != nil {
+				if err := d.opts.OnCheckpoint(cp); errors.Is(err, Pause) {
+					return nil, nil
+				} else if err != nil {
+					return nil, fmt.Errorf("scenario %s: checkpoint at %v: %w", d.spec.Name, hourEnd, err)
+				}
 			}
 		}
 	}

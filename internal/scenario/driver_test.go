@@ -98,7 +98,7 @@ func TestDriverCheckpoints(t *testing.T) {
 	d, err := NewDriver(driverConfig(1), spec, Options{
 		Chunk:        6 * time.Hour,
 		Checkpoint:   12 * time.Hour,
-		OnCheckpoint: func(cp Checkpoint) { observed = append(observed, cp) },
+		OnCheckpoint: func(cp Checkpoint) error { observed = append(observed, cp); return nil },
 	})
 	if err != nil {
 		t.Fatal(err)

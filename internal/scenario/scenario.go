@@ -227,11 +227,7 @@ func (s Spec) Validate(neighborhoodSize int) error {
 // configuration must match the one the Driver's engine runs with, so
 // region-targeted modulators resolve user homes identically.
 func Materialize(spec Spec, topo hfc.Config) (*trace.Trace, error) {
-	c, err := spec.compile(topo)
-	if err != nil {
-		return nil, err
-	}
-	stream, err := synth.NewStream(c.streamConfig(), c.hooks())
+	stream, _, err := NewStream(spec, topo)
 	if err != nil {
 		return nil, err
 	}

@@ -39,8 +39,9 @@ type RunOptions struct {
 	// live demos.
 	Acceleration float64
 
-	// OnCheckpoint observes each checkpoint as it is taken.
-	OnCheckpoint func(scenario.Checkpoint)
+	// OnCheckpoint receives each checkpoint as it is taken (see
+	// scenario.Options.OnCheckpoint).
+	OnCheckpoint func(scenario.Checkpoint) error
 
 	// Stop requests a graceful early finish of the drive loop (see
 	// scenario.Options.Stop). Assertions still evaluate over whatever

@@ -399,13 +399,14 @@ func (s *Server) closeIngest() {
 // checkpoint refreshes the handlers' snapshot. Checkpoints fire
 // between submit windows, so the engine is quiescent and the
 // collector flush here makes checkpoint-time scrapes exact.
-func (s *Server) observeCheckpoint(cp scenario.Checkpoint) {
+func (s *Server) observeCheckpoint(cp scenario.Checkpoint) error {
 	s.col.Flush()
 	s.publish(cp.Metrics)
 	s.checkpoints.Inc()
 	if s.opts.OnCheckpoint != nil {
 		s.opts.OnCheckpoint(cp)
 	}
+	return nil
 }
 
 // publish installs m as the immutable snapshot handlers read.

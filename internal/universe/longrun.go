@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -85,12 +86,14 @@ const (
 )
 
 // LongRun executes (or resumes) a universe run split into resumable
-// legs. Each leg streams Leg of simulated time into the engine, then
-// checkpoints atomically: the run survives interruption at any point
-// with at most one leg of lost work. base supplies engine policy
-// (strategy, fill, warmup, parallelism); the tier dictates plant and
-// workload. The run is bit-identical to an uninterrupted one at any
-// parallelism and any leg split — StateDigest pins this.
+// legs. It is a scenario.Driver over the tier's spec, one SubmitBatch
+// per generated hour, plus the run ledger: at every leg end, and at the
+// stream's end, it checkpoints atomically, so the run survives
+// interruption at any point with at most one leg of lost work. base
+// supplies engine policy (strategy, fill, warmup, parallelism); the
+// tier dictates plant and workload. The run is bit-identical to an
+// uninterrupted one at any parallelism and any leg split — StateDigest
+// pins this.
 func LongRun(tier Config, base core.Config, opts LongRunOptions) (*LongRunResult, error) {
 	if err := tier.Validate(); err != nil {
 		return nil, err
@@ -114,20 +117,45 @@ func LongRun(tier Config, base core.Config, opts LongRunOptions) (*LongRunResult
 		base.Strategy = core.StrategyLFU
 	}
 	cfg := tier.EngineConfig(base)
+	spec := tier.Spec()
 	statePath := filepath.Join(opts.Dir, stateFileName)
 	metaPath := filepath.Join(opts.Dir, metaFileName)
-
-	stream, population, err := scenario.NewStream(tier.Spec(), cfg.Topology)
-	if err != nil {
-		return nil, err
-	}
 
 	meta, resumed, err := loadMeta(metaPath)
 	if err != nil {
 		return nil, err
 	}
+	res := &LongRunResult{Tier: tier, Resumed: resumed, StatePath: statePath, LegsTotal: meta.Legs, Digest: meta.Digest, At: meta.At, Submitted: meta.Submitted}
 
-	var sys *core.System
+	// A leg checkpoint exports, encodes, digests and drops one shard at
+	// a time, so it never holds a copy of the whole engine or the
+	// state's JSON text.
+	var d *scenario.Driver
+	dopts := scenario.Options{Chunk: time.Hour, Checkpoint: leg}
+	dopts.OnCheckpoint = func(cp scenario.Checkpoint) error {
+		dg := newDigester(sha256.New())
+		if err := d.System().Checkpoint(statePath, dg); err != nil {
+			return err
+		}
+		meta.HoursDone = int(cp.At / time.Hour)
+		meta.Legs++
+		meta.Submitted = cp.Metrics.Submitted
+		meta.At = cp.At
+		meta.Digest = dg.sum(false)
+		if err := saveMeta(metaPath, meta); err != nil {
+			return err
+		}
+		res.LegsRun++
+		res.LegsTotal, res.At, res.Submitted, res.Digest = meta.Legs, meta.At, meta.Submitted, meta.Digest
+		if opts.OnLeg != nil {
+			opts.OnLeg(LegInfo{Leg: meta.Legs, At: meta.At, Submitted: meta.Submitted, Digest: meta.Digest})
+		}
+		if opts.MaxLegs > 0 && res.LegsRun >= opts.MaxLegs && cp.At < spec.Span() {
+			return scenario.Pause // resumable: state and ledger are on disk
+		}
+		return nil
+	}
+
 	if resumed {
 		if err := verifyMeta(meta, tier, cfg, leg); err != nil {
 			return nil, err
@@ -139,113 +167,30 @@ func LongRun(tier Config, base core.Config, opts LongRunOptions) (*LongRunResult
 		if err := verifySnapshot(st, tier, meta); err != nil {
 			return nil, err
 		}
-		// Regenerate the workload up to the checkpoint: the stream is
-		// deterministic, so skipping the checkpointed hours replays the
-		// exact record sequence the snapshot consumed. The count cross-
-		// check catches a divergent workload (wrong seed, edited spec)
-		// that the ledger comparison could not.
-		skipped := 0
-		for h := 0; h < meta.HoursDone; h++ {
-			if stream.Done() {
-				return nil, fmt.Errorf("universe: checkpoint claims %d hours but the %s workload ends after %d", meta.HoursDone, tier.Name, h)
-			}
-			recs, _, err := stream.NextHour()
-			if err != nil {
-				return nil, err
-			}
-			skipped += len(recs)
-		}
-		if skipped != meta.Submitted {
-			return nil, fmt.Errorf("universe: regenerated %s workload diverges from checkpoint %s: %d records in %d hours, ledger says %d — was the snapshot created with a different seed?",
-				tier.Name, statePath, skipped, meta.HoursDone, meta.Submitted)
-		}
-		sys, err = core.RestoreSystem(st, core.RestoreOptions{Parallelism: cfg.Parallelism})
+		// The stream is deterministic, so skipping the checkpointed
+		// hours replays the exact record sequence the snapshot
+		// consumed; the Driver's count check catches a divergent
+		// workload (wrong seed, edited ledger) that the ledger
+		// comparison could not.
+		d, err = scenario.ResumeDriver(st, core.RestoreOptions{Parallelism: cfg.Parallelism}, spec, meta.HoursDone, dopts)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("universe: checkpoint %s: %w", statePath, err)
 		}
 	} else {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("universe: creating checkpoint directory: %w", err)
 		}
-		sys, err = core.NewSystem(cfg, core.Workload{Users: population, Lengths: stream.Lengths()})
-		if err != nil {
-			return nil, err
-		}
-		// Arm the tier's faults (the heterogeneous-fleet storage spread)
-		// exactly as the scenario driver would. On resume the snapshot
-		// carries the not-yet-applied schedule, so arming happens only
-		// on a fresh run.
-		spec := tier.Spec()
-		for _, ph := range spec.Phases {
-			for i, f := range ph.Faults {
-				if err := sys.Disrupt(f); err != nil {
-					return nil, fmt.Errorf("universe %s: phase %q fault %d (%s): %w", tier.Name, ph.Name, i, f.Kind(), err)
-				}
-			}
-		}
 		meta = runMeta{Tier: tier, Strategy: cfg.StrategyLabel(), Leg: leg}
-	}
-
-	res := &LongRunResult{Tier: tier, Resumed: resumed, StatePath: statePath, LegsTotal: meta.Legs, Digest: meta.Digest, At: meta.At, Submitted: meta.Submitted}
-	submitted := meta.Submitted
-	hours := meta.HoursDone
-
-	// A checkpoint exports, encodes, digests and drops one shard at a
-	// time, so it never holds a copy of the whole engine or the state's
-	// JSON text.
-	checkpoint := func() error {
-		d := newDigester(sha256.New())
-		if err := sys.Checkpoint(statePath, d); err != nil {
-			return err
-		}
-		digest := d.sum(false)
-		meta.HoursDone = hours
-		meta.Legs++
-		meta.Submitted = submitted
-		meta.At = time.Duration(hours) * time.Hour
-		meta.Digest = digest
-		if err := saveMeta(metaPath, meta); err != nil {
-			return err
-		}
-		res.LegsRun++
-		res.LegsTotal = meta.Legs
-		res.At = meta.At
-		res.Submitted = submitted
-		res.Digest = digest
-		if opts.OnLeg != nil {
-			opts.OnLeg(LegInfo{Leg: meta.Legs, At: meta.At, Submitted: submitted, Digest: digest})
-		}
-		return nil
-	}
-
-	for !stream.Done() {
-		recs, _, err := stream.NextHour()
-		if err != nil {
+		if d, err = scenario.NewDriver(cfg, spec, dopts); err != nil {
 			return nil, err
 		}
-		hours++
-		if len(recs) > 0 {
-			if err := sys.SubmitBatch(recs); err != nil {
-				return nil, err
-			}
-			submitted += len(recs)
-		}
-		if time.Duration(hours)*time.Hour%leg == 0 || stream.Done() {
-			if err := checkpoint(); err != nil {
-				return nil, err
-			}
-			if opts.MaxLegs > 0 && res.LegsRun >= opts.MaxLegs && !stream.Done() {
-				return res, nil // resumable: state and ledger are on disk
-			}
-		}
 	}
 
-	final, err := sys.Close()
+	final, err := d.Run()
 	if err != nil {
 		return nil, err
 	}
-	res.Done = true
-	res.Result = final
+	res.Done, res.Result = final != nil, final
 	return res, nil
 }
 
@@ -265,36 +210,16 @@ func loadMeta(path string) (runMeta, bool, error) {
 	return m, true, nil
 }
 
-// saveMeta writes the ledger atomically (temp file, sync, rename),
-// matching the snapshot writer's crash discipline.
+// saveMeta writes the ledger atomically, as the state file is written.
 func saveMeta(path string, m runMeta) error {
 	b, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".longrun-*")
-	if err != nil {
-		return fmt.Errorf("universe: save run ledger: %w", err)
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("universe: save run ledger: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("universe: save run ledger: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("universe: save run ledger: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("universe: save run ledger: %w", err)
-	}
-	return nil
+	return core.SaveFile(path, func(w io.Writer) error {
+		_, err := w.Write(append(b, '\n'))
+		return err
+	})
 }
 
 // verifyMeta rejects a resume whose request does not describe the

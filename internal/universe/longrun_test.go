@@ -1,6 +1,7 @@
 package universe
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -92,6 +93,62 @@ func TestLongRunEquivalence(t *testing.T) {
 	}
 	if ref.Submitted == 0 {
 		t.Fatal("mega-lite produced no records")
+	}
+}
+
+// TestLongRunUnevenLegs: 5-hour legs on the 72-hour mega-lite tier make
+// 15 legs, the last one 2 hours long. Paused after 7 legs and resumed at
+// another parallelism, the run reaches the digest of 24-hour legs.
+func TestLongRunUnevenLegs(t *testing.T) {
+	tier, err := Tier("mega-lite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := LongRun(tier, core.Config{Parallelism: 1}, LongRunOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at []time.Duration
+	opts := LongRunOptions{Dir: t.TempDir(), Leg: 5 * time.Hour, MaxLegs: 7, OnLeg: func(l LegInfo) { at = append(at, l.At) }}
+	if res, err := LongRun(tier, core.Config{Parallelism: 1}, opts); err != nil || res.Done || res.At != 35*time.Hour {
+		t.Fatalf("7 legs of 5 hours: %+v, %v; want a pause at 35h", res, err)
+	}
+	opts.MaxLegs = 0
+	res, err := LongRun(tier, core.Config{Parallelism: 4}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Done || res.LegsRun != 8 || res.LegsTotal != 15 || res.At != 72*time.Hour || at[13] != 70*time.Hour {
+		t.Errorf("resumed run: done %v, %d of %d legs, checkpoints at %v; want 8 of 15 legs ending 70h, 72h", res.Done, res.LegsRun, res.LegsTotal, at)
+	}
+	if res.Digest != ref.Digest || res.Submitted != ref.Submitted {
+		t.Errorf("5-hour legs reached %s after %d records, 24-hour legs %s after %d", res.Digest, res.Submitted, ref.Digest, ref.Submitted)
+	}
+}
+
+// TestLongRunRejectsEditedLedger: a ledger whose hours no longer hold
+// the snapshot's records is refused by the regenerated record count.
+func TestLongRunRejectsEditedLedger(t *testing.T) {
+	tier, err := Tier("mega-lite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := LongRunOptions{Dir: t.TempDir(), MaxLegs: 1}
+	if _, err := LongRun(tier, core.Config{}, opts); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(opts.Dir, metaFileName)
+	b, err := os.ReadFile(path)
+	if err == nil {
+		err = os.WriteFile(path, bytes.Replace(b, []byte(`"hours_done": 24,`), []byte(`"hours_done": 20,`), 1), 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = LongRun(tier, core.Config{}, opts)
+	if err == nil || !strings.Contains(err.Error(), "regenerated") || !strings.Contains(err.Error(), "mega-lite workload diverges") ||
+		!strings.Contains(err.Error(), "7436 records in 20 hours") || !strings.Contains(err.Error(), "says 11019") {
+		t.Fatalf("ledger edited from 24 to 20 hours: err = %v, want the regenerated workload to diverge", err)
 	}
 }
 

@@ -10,9 +10,8 @@
 // engine's hot per-session state, which internal/core keeps in
 // shard-owned slabs for exactly this reason. The package adds the
 // remaining discipline: a process memory reading (MeasureFootprint,
-// PeakRSS), and LongRun,
-// which splits a multi-day run into resumable legs checkpointed
-// through core.SaveStateFile.
+// PeakRSS), and LongRun, a scenario.Driver plus a ledger, which splits
+// a multi-day run into resumable checkpointed legs.
 //
 // Determinism contract: a tier's runs are bit-identical across
 // engine parallelism and across checkpoint/resume boundaries. The
@@ -26,7 +25,6 @@ import (
 
 	"cablevod/internal/adversity"
 	"cablevod/internal/core"
-	"cablevod/internal/hfc"
 	"cablevod/internal/scenario"
 	"cablevod/internal/synth"
 	"cablevod/internal/units"
@@ -171,12 +169,6 @@ func (c Config) Spec() scenario.Spec {
 func (c Config) EngineConfig(base core.Config) core.Config {
 	base.Topology.NeighborhoodSize = c.NeighborhoodSize()
 	return base
-}
-
-// Topology is the tier's plant configuration with default box storage
-// and coax capacity (heterogeneous tiers re-provision storage at t=0).
-func (c Config) Topology() hfc.Config {
-	return hfc.Config{NeighborhoodSize: c.NeighborhoodSize()}
 }
 
 // Records estimates the session-record volume the tier generates,

@@ -51,7 +51,8 @@ type ScenarioOptions struct {
 	Chunk time.Duration
 
 	// Checkpoint emits a ScenarioCheckpoint every this much virtual
-	// time (0 = none).
+	// time, and one at the stream's end when the span is not a whole
+	// number of intervals (0 = none).
 	Checkpoint time.Duration
 
 	// OnCheckpoint observes checkpoints as they are taken; the full
@@ -107,7 +108,7 @@ func RunScenario(name string, cfg Config, opts ScenarioOptions) (*Result, []Scen
 	d, err := scenario.NewDriver(cfg.internal(), b.Build(base), scenario.Options{
 		Chunk:          opts.Chunk,
 		Checkpoint:     opts.Checkpoint,
-		OnCheckpoint:   opts.OnCheckpoint,
+		OnCheckpoint:   observe(opts.OnCheckpoint),
 		Acceleration:   opts.Acceleration,
 		SnapshotAt:     opts.SnapshotAt,
 		OnSnapshot:     opts.OnSnapshot,
@@ -175,12 +176,21 @@ func RunSpecFile(path string, cfg Config, opts SpecRunOptions) (*SpecReport, err
 		Engine:         cfg.internal(),
 		Checkpoint:     opts.Checkpoint,
 		Chunk:          opts.Chunk,
-		OnCheckpoint:   opts.OnCheckpoint,
+		OnCheckpoint:   observe(opts.OnCheckpoint),
 		Acceleration:   opts.Acceleration,
 		SnapshotAt:     opts.SnapshotAt,
 		OnSnapshot:     opts.OnSnapshot,
 		SnapshotFuture: opts.SnapshotFuture,
 	})
+}
+
+// observe adapts a checkpoint observer to the Driver's hook; a facade
+// run never pauses.
+func observe(f func(ScenarioCheckpoint)) func(ScenarioCheckpoint) error {
+	if f == nil {
+		return nil
+	}
+	return func(cp ScenarioCheckpoint) error { f(cp); return nil }
 }
 
 // zeroWorkload reports whether a TraceOptions is the zero value, so
