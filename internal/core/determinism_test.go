@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -155,8 +156,9 @@ type plan struct {
 	records []trace.Record // scenario.Materialize's records
 	ends    []int          // ends[h] counts the records of hours 0 to h
 
-	chunk, checkpoint, fork, restorePar, forkPar int
+	chunk, checkpoint, fork, forks, restorePar, forkPar int
 
+	regional  bool     // a modulator draws by neighborhood
 	statePath string   // the reference's checkpoint
 	facts     []string // what the plan covered, for the non-vacuity check
 }
@@ -178,10 +180,16 @@ func buildPlan(t testing.TB, seed uint64) *plan {
 	if cfg.StrategyName == "oracle" {
 		p.work.Future = tr.Records
 	}
+	if cfg.DisablePeerStreamLimit {
+		p.facts = append(p.facts, "the stream limit off")
+	}
 	for _, ph := range spec.Phases {
 		p.faults = append(p.faults, ph.Faults...)
 		for _, m := range ph.Modulators {
 			p.facts = append(p.facts, m.Kind())
+			if fc, ok := m.(scenario.FlashCrowd); (ok && fc.Local) || m.Kind() == "skew-drift" {
+				p.regional = true
+			}
 		}
 		for _, f := range ph.Faults {
 			p.facts = append(p.facts, f.Kind())
@@ -195,6 +203,7 @@ func buildPlan(t testing.TB, seed uint64) *plan {
 	rng := rand.New(rand.NewPCG(seed, 0xc075))
 	p.chunk, p.checkpoint, p.fork = 1+rng.IntN(1000), rng.IntN(len(p.ends)-1), rng.IntN(len(p.ends)-1)
 	p.restorePar, p.forkPar = 2+2*rng.IntN(2), 1<<rng.IntN(3)
+	p.forks = 2 + rng.IntN(2)
 	return p
 }
 
@@ -298,6 +307,18 @@ func (p *plan) pass(par int, cuts []int, perRecord bool) ([]outcome, error) {
 	return []outcome{out}, err
 }
 
+// wide runs the plan at parallelism 4 and, on a host where GOMAXPROCS
+// is wider, at GOMAXPROCS too (Parallelism 0).
+func (p *plan) wide() ([]outcome, error) {
+	outs, err := p.pass(4, p.hourCuts(0, len(p.records)), false)
+	if err == nil && runtime.GOMAXPROCS(0) > 4 {
+		var more []outcome
+		more, err = p.pass(0, p.hourCuts(0, len(p.records)), false)
+		outs = append(outs, more...)
+	}
+	return outs, err
+}
+
 // resume checks that sys, restored from a state with digest want after
 // record at, exports that same state, then runs the rest of the plan. (A
 // lossy restore could panic on a worker goroutine, naming no plan.)
@@ -325,7 +346,7 @@ type transformation struct {
 
 var transformations = []transformation{
 	{"parallel-2", nil, func(p *plan) ([]outcome, error) { return p.pass(2, p.hourCuts(0, len(p.records)), false) }},
-	{"parallel-4", nil, func(p *plan) ([]outcome, error) { return p.pass(4, p.hourCuts(0, len(p.records)), false) }},
+	{"parallel-4", nil, (*plan).wide},
 	{"per-record", nil, func(p *plan) ([]outcome, error) { return p.pass(1, p.hourCuts(0, len(p.records)), true) }},
 	{"chunks", nil, func(p *plan) ([]outcome, error) {
 		var cuts []int
@@ -366,6 +387,9 @@ func (p *plan) drive(chunk time.Duration, par int) ([]outcome, error) {
 	if err == nil {
 		out.res, err = d.Run()
 	}
+	if err == nil && p.regional && par > 1 {
+		p.facts = append(p.facts, "a regional plan on the parallel driver")
+	}
 	return []outcome{out}, err
 }
 
@@ -387,6 +411,9 @@ func (p *plan) restore() ([]outcome, error) {
 	if err == nil {
 		sys, err = core.RestoreSystem(st, core.RestoreOptions{Parallelism: p.restorePar})
 	}
+	if err == nil && core.NarrowPlacements(sys) > 0 {
+		p.facts = append(p.facts, "a restored placement narrower than its plan")
+	}
 	var out outcome
 	if err == nil {
 		err = p.resume(sys, want, p.ends[p.checkpoint], &out)
@@ -394,11 +421,12 @@ func (p *plan) restore() ([]outcome, error) {
 	return []outcome{out}, err
 }
 
-// forkOff forks twice at the fork hour and finishes the original and both
-// forks concurrently, so a race run proves they share nothing.
+// forkOff forks two or three copies at the fork hour and finishes the
+// original and the forks concurrently, so a race run proves they share
+// nothing.
 func (p *plan) forkOff() ([]outcome, error) {
 	at := p.ends[p.fork]
-	outs := make([]outcome, 3)
+	outs := make([]outcome, 1+p.forks)
 	sys, err := p.newSystem(p.forkPar)
 	if err == nil {
 		err = p.feed(sys, &outs[0], 0, p.hourCuts(0, at), false, nil)
@@ -409,7 +437,10 @@ func (p *plan) forkOff() ([]outcome, error) {
 	}
 	var forks []*core.System
 	if err == nil {
-		forks, err = sys.Fork(2)
+		forks, err = sys.Fork(p.forks)
+	}
+	if p.forks == 3 {
+		p.facts = append(p.facts, "a fork into three copies")
 	}
 	if err != nil {
 		return nil, err
@@ -478,7 +509,7 @@ func (p *plan) reference(dir string) (outcome, error) {
 	err = p.feed(sys, &out, 0, p.hourCuts(0, len(p.records)), false, func(h int, m core.Metrics) error {
 		if h == p.checkpoint && !p.sharedFeed() {
 			p.statePath = filepath.Join(dir, "state.snap")
-			if err := sys.Checkpoint(p.statePath, nil); err != nil {
+			if err := sys.Checkpoint(p.statePath, nil, nil); err != nil {
 				return err
 			}
 		}
@@ -495,6 +526,13 @@ func (p *plan) reference(dir string) (outcome, error) {
 		res := out.res
 		m := core.Metrics{Submitted: len(p.records), Counters: res.Counters, ServerBits: res.ServerBits, DemandBits: res.DemandBits, Now: sys.Now()}
 		_, err = p.invariants(sys, m, len(p.records), prev, true)
+		switch {
+		case err != nil:
+		case res.Demand.Mean <= 0:
+			err = fmt.Errorf("peak-window demand is %v", res.Demand.Mean)
+		case res.Counters.Hits == 0 && res.ServerBits != res.DemandBits:
+			err = fmt.Errorf("no hits, yet the server carried %d of %d demand bits", res.ServerBits, res.DemandBits)
+		}
 	}
 	if err == nil {
 		err = p.workingSet(sys, out.res)
@@ -682,8 +720,9 @@ func TestDeterminism(t *testing.T) {
 			return // a -run filter or a failure: coverage is not the question
 		}
 		want := map[string]int{"a checkpoint cut before a pending fault": 1, "a checkpoint of an on-broadcast plan with 2 replicas": 1,
-			"the working-set rule": 1, "node_failure": 1, "cold_restart": 1, "coax_degrade": 1, "hetero_cache": 1,
-			"flash-crowd": 1, "premiere": 1, "intensity-shift": 1, "churn": 1, "skew-drift": 1}
+			"a restored placement narrower than its plan": 1, "a fork into three copies": 1, "the stream limit off": 1,
+			"a regional plan on the parallel driver": 1, "the working-set rule": 1, "node_failure": 1, "cold_restart": 1,
+			"coax_degrade": 1, "hetero_cache": 1, "flash-crowd": 1, "premiere": 1, "intensity-shift": 1, "churn": 1, "skew-drift": 1}
 		for _, v := range strategyVariants {
 			want[fmt.Sprintf("%v evicts", v)] = 1
 		}

@@ -12,3 +12,20 @@ func ProbeShards(s *System) []ShardState {
 	}
 	return out
 }
+
+// NarrowPlacements counts the placements narrower than their plan: a
+// stride under the full one for their replicas, which a restore leaves
+// where a segment held fewer copies than the plan at export. The
+// determinism harness requires a restored plan that has one, so the
+// widening path runs.
+func NarrowPlacements(s *System) int {
+	n := 0
+	for _, sh := range s.shards {
+		for k := range sh.is.placement {
+			if pp := &sh.is.placement[k]; pp.replicas != 0 && int(pp.stride) < sh.is.fullStride(int(pp.replicas)) {
+				n++
+			}
+		}
+	}
+	return n
+}

@@ -417,15 +417,7 @@ func TestRestoreOnBroadcastMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow := 0
-	for _, sh := range restored.shards {
-		for k := range sh.is.placement {
-			if pp := &sh.is.placement[k]; pp.replicas != 0 && int(pp.stride) < sh.is.fullStride(int(pp.replicas)) {
-				narrow++
-			}
-		}
-	}
-	if narrow == 0 {
+	if NarrowPlacements(restored) == 0 {
 		t.Fatal("no restored placement is narrower than its plan; the widening path is not exercised")
 	}
 	if err := restored.SubmitBatch(tr.Records[cut:]); err != nil {

@@ -214,15 +214,19 @@ func TestShardModeSelection(t *testing.T) {
 		{"oracle", shardTestConfig(StrategyOracle, FillImmediate, 4), shardsIndependent},
 		{"global-live", shardTestConfig(StrategyGlobalLFU, FillImmediate, 4), shardsSerialized},
 	}
-	// A lagged feed couples at every parallelism, serial included.
-	for _, par := range []int{1, 4} {
-		lagged := shardTestConfig(StrategyGlobalLFU, FillImmediate, par)
-		lagged.GlobalLag = 30 * time.Minute
+	// A lagged feed couples at every parallelism, serial included, on
+	// both of Fig. 13's lags.
+	for _, lagged := range []struct {
+		par int
+		lag time.Duration
+	}{{1, 30 * time.Minute}, {4, 30 * time.Minute}, {4, 2 * time.Hour}} {
+		cfg := shardTestConfig(StrategyGlobalLFU, FillImmediate, lagged.par)
+		cfg.GlobalLag = lagged.lag
 		cases = append(cases, struct {
 			name string
 			cfg  Config
 			want shardMode
-		}{fmt.Sprintf("global-lagged p%d", par), lagged, shardsEpochCoupled})
+		}{fmt.Sprintf("global-lagged %v p%d", lagged.lag, lagged.par), cfg, shardsEpochCoupled})
 	}
 
 	for _, tc := range cases {

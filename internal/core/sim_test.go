@@ -404,3 +404,33 @@ func TestCountersHelpers(t *testing.T) {
 		t.Error("empty HitRatio should be 0")
 	}
 }
+
+// TestSimulationTraceUnmodified ensures a run never mutates its input
+// trace (runs share traces across sweeps).
+func TestSimulationTraceUnmodified(t *testing.T) {
+	scfg := synth.TestConfig()
+	tr, err := synth.Generate(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := tr.Clone()
+	if _, err := Run(Config{
+		Topology: hfc.Config{NeighborhoodSize: 200, PerPeerStorage: units.GB},
+		Strategy: StrategyOracle,
+	}, tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != before.Len() {
+		t.Fatal("record count changed")
+	}
+	for i := range tr.Records {
+		if tr.Records[i] != before.Records[i] {
+			t.Fatalf("record %d mutated", i)
+		}
+	}
+	for p, l := range before.ProgramLengths {
+		if tr.ProgramLengths[p] != l {
+			t.Fatalf("program %d length mutated", p)
+		}
+	}
+}

@@ -109,7 +109,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				if err := WriteState(&buf, st); err != nil {
 					t.Fatal(err)
 				}
-				st2, err := ReadState(&buf)
+				st2, _, err := ReadState(&buf)
 				if err != nil {
 					t.Fatal(err)
 				}

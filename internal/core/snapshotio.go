@@ -40,6 +40,13 @@ import (
 // all its placements' Slots and the copies in those rows, so a reader
 // sizes one backing array of each per shard, as exportState does.
 //
+// The header's run field, omitted when empty, holds verbatim the JSON a
+// Checkpoint caller hands over (universe.LongRun's ledger), so one file
+// is a whole checkpoint. A header line takes at most maxHeaderLine
+// bytes, its newline included. A file is committed with one rename,
+// durable on return: the temp file is synced before it, the directory
+// after it (saveFile).
+//
 // The reader takes a section's bytes only as they arrive and checks its
 // CRC before it decodes it. It checks every count against the bytes
 // left in the section before it allocates (each field of an element
@@ -64,12 +71,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // snapshotHeader is the file's first line.
 type snapshotHeader struct {
-	Format    string `json:"format"`
-	Version   int    `json:"version"`
-	Strategy  string `json:"strategy"`
-	At        string `json:"at"`
-	Submitted int    `json:"submitted"`
-	Shards    int    `json:"shards"`
+	Format    string          `json:"format"`
+	Version   int             `json:"version"`
+	Strategy  string          `json:"strategy"`
+	At        string          `json:"at"`
+	Submitted int             `json:"submitted"`
+	Shards    int             `json:"shards"`
+	Run       json.RawMessage `json:"run,omitempty"`
 }
 
 // WriteState writes a SystemState to w as a state file.
@@ -85,9 +93,10 @@ func WriteState(w io.Writer, st *SystemState) error {
 // one section at a time, so its buffer is bounded by the largest
 // neighborhood.
 type stateEncoder struct {
-	w io.Writer
-	e encoder
-	n int // shards written
+	w   io.Writer
+	run json.RawMessage // the header's run field
+	e   encoder
+	n   int // shards written
 }
 
 func (s *stateEncoder) Head(head *SystemState, shards int) error {
@@ -98,10 +107,14 @@ func (s *stateEncoder) Head(head *SystemState, shards int) error {
 		At:        head.LastStart.String(),
 		Submitted: head.Submitted,
 		Shards:    shards,
+		Run:       s.run,
 	}
 	line, err := json.Marshal(hdr)
 	if err != nil {
 		return fmt.Errorf("core: encode snapshot header: %w", err)
+	}
+	if len(line) >= maxHeaderLine {
+		return fmt.Errorf("core: snapshot header of %d bytes exceeds the %d a reader accepts", len(line)+1, maxHeaderLine)
 	}
 	if _, err := s.w.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("core: write snapshot header: %w", err)
@@ -136,44 +149,46 @@ func (s *stateEncoder) section() error {
 	return err
 }
 
-// ReadState reads a SystemState written by WriteState. It checks the
-// header's format and version, then every section's checksum, counts
-// and length, and fails on anything after the last section.
-func ReadState(r io.Reader) (*SystemState, error) {
+// ReadState reads a SystemState written by WriteState or Checkpoint,
+// and returns its header's run field as Checkpoint was given it: nil
+// when the file has none. It checks the header's format and version,
+// then every section's checksum, counts and length, and fails on
+// anything after the last section.
+func ReadState(r io.Reader) (*SystemState, json.RawMessage, error) {
 	br := bufio.NewReaderSize(r, maxHeaderLine)
 	line, err := br.ReadSlice('\n')
 	if errors.Is(err, bufio.ErrBufferFull) {
-		return nil, fmt.Errorf("core: not a snapshot file (no header line in its first %d bytes)", maxHeaderLine)
+		return nil, nil, fmt.Errorf("core: not a snapshot file (no header line in its first %d bytes)", maxHeaderLine)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: read snapshot header: %w", err)
+		return nil, nil, fmt.Errorf("core: read snapshot header: %w", err)
 	}
 	var hdr snapshotHeader
 	if err := json.Unmarshal(line, &hdr); err != nil {
-		return nil, fmt.Errorf("core: not a snapshot file (bad header): %w", err)
+		return nil, nil, fmt.Errorf("core: not a snapshot file (bad header): %w", err)
 	}
 	if hdr.Format != snapshotFormat {
-		return nil, fmt.Errorf("core: not a snapshot file (format %q)", hdr.Format)
+		return nil, nil, fmt.Errorf("core: not a snapshot file (format %q)", hdr.Format)
 	}
 	if hdr.Version != stateFileVersion {
-		return nil, fmt.Errorf("core: snapshot file version %d, this build reads version %d", hdr.Version, stateFileVersion)
+		return nil, nil, fmt.Errorf("core: snapshot file version %d, this build reads version %d", hdr.Version, stateFileVersion)
 	}
 	if hdr.Shards < 0 {
-		return nil, fmt.Errorf("core: snapshot header has %d shards", hdr.Shards)
+		return nil, nil, fmt.Errorf("core: snapshot header has %d shards", hdr.Shards)
 	}
 
 	body := sectionReader{r: br}
 	d, err := body.next()
 	if err != nil {
-		return nil, fmt.Errorf("core: read snapshot head: %w", err)
+		return nil, nil, fmt.Errorf("core: read snapshot head: %w", err)
 	}
 	st := new(SystemState)
 	shards := d.head(st)
 	if err := d.end(); err != nil {
-		return nil, fmt.Errorf("core: decode snapshot head: %w", err)
+		return nil, nil, fmt.Errorf("core: decode snapshot head: %w", err)
 	}
 	if shards != uint64(hdr.Shards) {
-		return nil, fmt.Errorf("core: snapshot body has %d shards, its header %d", shards, hdr.Shards)
+		return nil, nil, fmt.Errorf("core: snapshot body has %d shards, its header %d", shards, hdr.Shards)
 	}
 	// The shard slice grows by doubling as sections arrive, so a count
 	// no section backs allocates nothing (FuzzReadState's allocation
@@ -182,7 +197,7 @@ func ReadState(r io.Reader) (*SystemState, error) {
 	for i := range hdr.Shards {
 		d, err := body.next()
 		if err != nil {
-			return nil, fmt.Errorf("core: read snapshot shard %d/%d: %w", i, hdr.Shards, err)
+			return nil, nil, fmt.Errorf("core: read snapshot shard %d/%d: %w", i, hdr.Shards, err)
 		}
 		if len(st.Shards) == cap(st.Shards) {
 			grown := make([]ShardState, len(st.Shards), max(2*len(st.Shards), 4))
@@ -192,16 +207,16 @@ func ReadState(r io.Reader) (*SystemState, error) {
 		st.Shards = append(st.Shards, ShardState{})
 		d.shard(&st.Shards[i])
 		if err := d.end(); err != nil {
-			return nil, fmt.Errorf("core: decode snapshot shard %d/%d: %w", i, hdr.Shards, err)
+			return nil, nil, fmt.Errorf("core: decode snapshot shard %d/%d: %w", i, hdr.Shards, err)
 		}
 	}
 	switch _, err := br.ReadByte(); {
 	case err == nil:
-		return nil, fmt.Errorf("core: snapshot has bytes after its last section")
+		return nil, nil, fmt.Errorf("core: snapshot has bytes after its last section")
 	case err != io.EOF:
-		return nil, fmt.Errorf("core: read snapshot: %w", err)
+		return nil, nil, fmt.Errorf("core: read snapshot: %w", err)
 	}
-	return st, nil
+	return st, hdr.Run, nil
 }
 
 // sectionReader reads a body's sections into one buffer, reused from
@@ -257,19 +272,21 @@ func (s *sectionReader) next() (decoder, error) {
 // rename), so a crash mid-write never leaves a truncated snapshot where
 // a good one was expected.
 func SaveStateFile(path string, st *SystemState) error {
-	return SaveFile(path, func(w io.Writer) error { return WriteState(w, st) })
+	return saveFile(path, func(w io.Writer) error { return WriteState(w, st) })
 }
 
 // Checkpoint writes the live engine's state to path as
 // SaveStateFile(path, ExportState()) would, but exports, encodes and
 // drops one shard at a time, so no copy of the whole engine is ever
 // held, and exports each shard into the memory of the one before, so a
-// call's garbage is about one shard's. also, when not nil, receives
-// every part too, after the file, valid only for that call (StateSink):
-// a digest rides the same pass.
-func (s *System) Checkpoint(path string, also StateSink) error {
-	return SaveFile(path, func(w io.Writer) error {
-		var sink StateSink = &stateEncoder{w: w}
+// call's garbage is about one shard's. run, when not empty, must be a
+// JSON value: it goes into the header's run field, where LoadCheckpoint
+// hands it back. also, when not nil, receives every part too, after the
+// file, valid only for that call (StateSink): a digest rides the same
+// pass.
+func (s *System) Checkpoint(path string, run json.RawMessage, also StateSink) error {
+	return saveFile(path, func(w io.Writer) error {
+		var sink StateSink = &stateEncoder{w: w, run: run}
 		if also != nil {
 			sink = teeSink{sink, also}
 		}
@@ -298,12 +315,12 @@ func (t teeSink) Shard(sh *ShardState) error {
 	return nil
 }
 
-// SaveFile writes path atomically: write fills a buffered temp file,
-// which is flushed, synced, closed and renamed over path. The sync
-// comes before the rename, so after a crash path holds the old file or
-// the whole new one, never a renamed file whose data was still in the
-// page cache. State files and the long-run ledger are written this way.
-func SaveFile(path string, write func(io.Writer) error) error {
+// saveFile writes path atomically: write fills a buffered temp file,
+// which is flushed, synced, closed and renamed over path, and then the
+// directory is synced. So after a crash path holds the old file or the
+// whole new one, and once saveFile returns, the new one; a crash before
+// the rename leaves a .snapshot-* temp file, which no reader opens.
+func saveFile(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".snapshot-*")
 	if err != nil {
 		return fmt.Errorf("core: save %s: %w", path, err)
@@ -328,19 +345,34 @@ func SaveFile(path string, write func(io.Writer) error) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("core: save %s: %w", path, err)
 	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		defer dir.Close()
+		err = dir.Sync()
+	}
+	if err != nil {
+		return fmt.Errorf("core: save %s: sync directory: %w", path, err)
+	}
 	return nil
 }
 
 // LoadStateFile reads a snapshot file written by SaveStateFile.
 func LoadStateFile(path string) (*SystemState, error) {
+	st, _, err := LoadCheckpoint(path)
+	return st, err
+}
+
+// LoadCheckpoint reads a state file as LoadStateFile does, and returns
+// its header's run field (ReadState).
+func LoadCheckpoint(path string) (*SystemState, json.RawMessage, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("core: load snapshot: %w", err)
+		return nil, nil, fmt.Errorf("core: load snapshot: %w", err)
 	}
 	defer f.Close()
-	st, err := ReadState(f)
+	st, run, err := ReadState(f)
 	if err != nil {
-		return nil, fmt.Errorf("core: load snapshot %s: %w", path, err)
+		return nil, nil, fmt.Errorf("core: load snapshot %s: %w", path, err)
 	}
-	return st, nil
+	return st, run, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -149,7 +150,7 @@ func resealSections(data []byte) []byte {
 func readAllocs(data []byte) (st *SystemState, alloc uint64, err error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	st, err = ReadState(bytes.NewReader(data))
+	st, _, err = ReadState(bytes.NewReader(data))
 	runtime.ReadMemStats(&after)
 	return st, after.TotalAlloc - before.TotalAlloc, err
 }
@@ -164,7 +165,7 @@ func TestReadStateRejectsHostileInput(t *testing.T) {
 	if len(sections) != 1+len(st.Shards) || len(st.Shards) < 2 {
 		t.Fatalf("%d sections for %d shards", len(sections), len(st.Shards))
 	}
-	if _, err := ReadState(bytes.NewReader(good)); err != nil {
+	if _, _, err := ReadState(bytes.NewReader(good)); err != nil {
 		t.Fatal(err)
 	}
 	shardsField := fmt.Sprintf(`"shards":%d`, len(st.Shards))
@@ -266,7 +267,7 @@ func TestStateFileCanonical(t *testing.T) {
 	if second := encodeState(t, st); !bytes.Equal(first, second) {
 		t.Fatalf("two writes of one state differ (%d and %d bytes)", len(first), len(second))
 	}
-	loaded, err := ReadState(bytes.NewReader(first))
+	loaded, _, err := ReadState(bytes.NewReader(first))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestStateFileCanonical(t *testing.T) {
 		t.Fatalf("write, read and write again differs (%d and %d bytes)", len(first), len(again))
 	}
 	path := filepath.Join(t.TempDir(), "state.snap")
-	if err := sys.Checkpoint(path, nil); err != nil {
+	if err := sys.Checkpoint(path, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if live, err := os.ReadFile(path); err != nil || !bytes.Equal(first, live) {
@@ -289,13 +290,36 @@ func TestCheckpointWithoutSink(t *testing.T) {
 	sys, err := NewSystem(snapshotTestConfig("lfu", 1), WorkloadFromTrace(tr))
 	path := filepath.Join(t.TempDir(), "state.snap")
 	if err == nil {
-		err = sys.Checkpoint(path, nil)
+		err = sys.Checkpoint(path, nil, nil)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadStateFile(path); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointRunField: the run bytes a Checkpoint is handed come back
+// from LoadCheckpoint as given, and a run that would take the header
+// line past what a reader accepts is refused, leaving the old file.
+func TestCheckpointRunField(t *testing.T) {
+	tr := snapshotTestTrace(t)
+	sys, err := NewSystem(snapshotTestConfig("lfu", 1), WorkloadFromTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "state.snap")
+	run := json.RawMessage(`{"hours_done":24}`)
+	if err := sys.Checkpoint(path, run, nil); err != nil {
+		t.Fatal(err)
+	}
+	long := json.RawMessage(`"` + strings.Repeat("x", maxHeaderLine) + `"`)
+	if err := sys.Checkpoint(path, long, nil); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("a %d-byte run field: err = %v, want the header refused", len(long), err)
+	}
+	if _, got, err := LoadCheckpoint(path); err != nil || !bytes.Equal(got, run) {
+		t.Fatalf("run field read back as %s (%v), want %s", got, err, run)
 	}
 }
 
@@ -307,7 +331,8 @@ func TestCheckpointWithoutSink(t *testing.T) {
 func TestStateCodecFieldLists(t *testing.T) {
 	base := smallState(t, "oracle", true, pendingDisruptions)
 	reread := func(st *SystemState) (*SystemState, error) {
-		return ReadState(bytes.NewReader(encodeState(t, st)))
+		got, _, err := ReadState(bytes.NewReader(encodeState(t, st)))
+		return got, err
 	}
 	for _, typ := range []reflect.Type{
 		reflect.TypeFor[SystemState](),
@@ -469,7 +494,7 @@ func FuzzReadState(f *testing.F) {
 		if st == nil {
 			t.Fatal("ReadState returned neither a state nor an error")
 		}
-		again, err := ReadState(bytes.NewReader(encodeState(t, st)))
+		again, _, err := ReadState(bytes.NewReader(encodeState(t, st)))
 		if err != nil {
 			t.Fatalf("an accepted state does not read back: %v", err)
 		}

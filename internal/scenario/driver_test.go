@@ -252,38 +252,3 @@ func TestDriverRunOnce(t *testing.T) {
 		t.Error("expected error on second Run")
 	}
 }
-
-// TestDriverParallelShards exercises the concurrent engine path under
-// the race detector: a regional scenario on a 4-worker pool must match
-// the serial run.
-func TestDriverParallelShards(t *testing.T) {
-	base := testBase()
-	spec := Spec{
-		Name: "regional",
-		Base: base,
-		Phases: []Phase{
-			{Name: "local-flash", From: 1 * units.Day, To: 2 * units.Day, Modulators: []Modulator{
-				FlashCrowd{Program: 0, Factor: 30, RateBoost: 1.5, Local: true, Neighborhood: 1},
-				SkewDrift{Strength: 0.6},
-			}},
-		},
-	}
-	var results []*core.Result
-	for _, par := range []int{1, 4} {
-		d, err := NewDriver(driverConfig(par), spec, Options{Chunk: 6 * time.Hour})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := d.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, normalize(res))
-	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Error("regional scenario differs between serial and 4-worker pools")
-	}
-	if results[0].Counters.Sessions == 0 {
-		t.Error("regional scenario generated no sessions")
-	}
-}

@@ -43,7 +43,7 @@ func TestCheckpointAllocations(t *testing.T) {
 	// The first checkpoint of a process also fills encoding/json's type
 	// cache; LongRun's later legs measure like the second.
 	path := filepath.Join(t.TempDir(), "state.snap")
-	if err := sys.Checkpoint(path, newDigester(sha256.New())); err != nil {
+	if err := sys.Checkpoint(path, nil, newDigester(sha256.New())); err != nil {
 		t.Fatal(err)
 	}
 	var ms runtime.MemStats
@@ -51,7 +51,7 @@ func TestCheckpointAllocations(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	before := ms.TotalAlloc
 	d := newDigester(sha256.New())
-	if err := sys.Checkpoint(path, d); err != nil {
+	if err := sys.Checkpoint(path, nil, d); err != nil {
 		t.Fatal(err)
 	}
 	digest := d.sum(false)

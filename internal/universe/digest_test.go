@@ -256,7 +256,7 @@ func TestStateFileRoundTrip(t *testing.T) {
 		if err := core.WriteState(&buf, st); err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.ReadState(&buf)
+		got, _, err := core.ReadState(&buf)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -3,10 +3,13 @@ package universe
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"time"
 
 	"cablevod/internal/core"
@@ -16,10 +19,10 @@ import (
 
 // LongRunOptions controls a checkpointed run.
 type LongRunOptions struct {
-	// Dir is the checkpoint directory (required). A long run leaves two
-	// files there: state.snap (the engine snapshot) and longrun.json
-	// (the run ledger: tier, progress, digest). Re-invoking LongRun on
-	// a directory with a ledger resumes the run from its last leg.
+	// Dir is the checkpoint directory (required). A long run keeps one
+	// file there, state.snap: the engine snapshot, with the run ledger
+	// in its header. Re-invoking LongRun on a directory that holds it
+	// resumes the run from its last leg.
 	Dir string
 
 	// Leg is the simulated time per leg — the checkpoint cadence.
@@ -65,35 +68,31 @@ type LongRunResult struct {
 	Result *core.Result
 }
 
-// runMeta is the longrun.json ledger. The tier config is embedded
-// whole so a resume can verify the checkpoint and the request describe
-// the same universe — the engine snapshot alone cannot carry this
-// (the workload seed, for one, is not recoverable from it).
-type runMeta struct {
+// ledger is what a checkpoint holds besides the engine state, in its
+// header's run field: the tier config, which the state cannot carry
+// (the workload seed, for one), and the creating engine config with
+// Parallelism, the one setting a resume may change, cleared. The
+// state's own Config holds resolved defaults, so a resume compares its
+// request with this copy, not with that.
+type ledger struct {
 	Tier      Config        `json:"tier"`
-	Strategy  string        `json:"strategy"`
+	Engine    core.Config   `json:"engine"`
 	Leg       time.Duration `json:"leg_ns"`
 	HoursDone int           `json:"hours_done"`
-	Legs      int           `json:"legs"`
-	Submitted int           `json:"submitted"`
-	At        time.Duration `json:"at_ns"`
-	Digest    string        `json:"digest"`
 }
 
-const (
-	stateFileName = "state.snap"
-	metaFileName  = "longrun.json"
-)
+const stateFileName = "state.snap"
 
 // LongRun executes (or resumes) a universe run split into resumable
 // legs. It is a scenario.Driver over the tier's spec, one SubmitBatch
 // per generated hour, plus the run ledger: at every leg end, and at the
-// stream's end, it checkpoints atomically, so the run survives
-// interruption at any point with at most one leg of lost work. base
-// supplies engine policy (strategy, fill, warmup, parallelism); the
-// tier dictates plant and workload. The run is bit-identical to an
-// uninterrupted one at any parallelism and any leg split — StateDigest
-// pins this.
+// stream's end, it checkpoints to one file with one rename, so the run
+// survives interruption at any point with at most one leg of lost work.
+// base supplies engine policy (strategy, fill, warmup, parallelism);
+// the tier dictates plant and workload. A resume must ask for the tier,
+// leg length and engine config the run was created with; only the
+// parallelism may change. The run is bit-identical to an uninterrupted
+// one at any parallelism and any leg split — StateDigest pins this.
 func LongRun(tier Config, base core.Config, opts LongRunOptions) (*LongRunResult, error) {
 	if err := tier.Validate(); err != nil {
 		return nil, err
@@ -112,20 +111,17 @@ func LongRun(tier Config, base core.Config, opts LongRunOptions) (*LongRunResult
 		return nil, fmt.Errorf("universe: MaxLegs must be non-negative (got %d)", opts.MaxLegs)
 	}
 	// Resolve the default strategy up front so the ledger records the
-	// real name and a resume that names it explicitly still matches.
+	// real one and a resume that names it explicitly still matches.
 	if base.Strategy == 0 && base.StrategyName == "" {
 		base.Strategy = core.StrategyLFU
 	}
 	cfg := tier.EngineConfig(base)
 	spec := tier.Spec()
 	statePath := filepath.Join(opts.Dir, stateFileName)
-	metaPath := filepath.Join(opts.Dir, metaFileName)
-
-	meta, resumed, err := loadMeta(metaPath)
-	if err != nil {
-		return nil, err
-	}
-	res := &LongRunResult{Tier: tier, Resumed: resumed, StatePath: statePath, LegsTotal: meta.Legs, Digest: meta.Digest, At: meta.At, Submitted: meta.Submitted}
+	run := ledger{Tier: tier, Engine: cfg, Leg: leg}
+	run.Engine.Parallelism = 0
+	legs := func(hours int) int { return int((time.Duration(hours)*time.Hour + leg - 1) / leg) }
+	res := &LongRunResult{Tier: tier, StatePath: statePath}
 
 	// A leg checkpoint exports, encodes, digests and drops one shard at
 	// a time, so it never holds a copy of the whole engine or the
@@ -133,56 +129,62 @@ func LongRun(tier Config, base core.Config, opts LongRunOptions) (*LongRunResult
 	var d *scenario.Driver
 	dopts := scenario.Options{Chunk: time.Hour, Checkpoint: leg}
 	dopts.OnCheckpoint = func(cp scenario.Checkpoint) error {
+		run.HoursDone = int(cp.At / time.Hour)
+		header, _ := json.Marshal(run) // integers, strings and bools only: cannot fail
 		dg := newDigester(sha256.New())
-		if err := d.System().Checkpoint(statePath, dg); err != nil {
-			return err
-		}
-		meta.HoursDone = int(cp.At / time.Hour)
-		meta.Legs++
-		meta.Submitted = cp.Metrics.Submitted
-		meta.At = cp.At
-		meta.Digest = dg.sum(false)
-		if err := saveMeta(metaPath, meta); err != nil {
+		if err := d.System().Checkpoint(statePath, header, dg); err != nil {
 			return err
 		}
 		res.LegsRun++
-		res.LegsTotal, res.At, res.Submitted, res.Digest = meta.Legs, meta.At, meta.Submitted, meta.Digest
+		res.LegsTotal, res.At, res.Submitted, res.Digest = legs(run.HoursDone), cp.At, cp.Metrics.Submitted, dg.sum(false)
 		if opts.OnLeg != nil {
-			opts.OnLeg(LegInfo{Leg: meta.Legs, At: meta.At, Submitted: meta.Submitted, Digest: meta.Digest})
+			opts.OnLeg(LegInfo{Leg: res.LegsTotal, At: res.At, Submitted: res.Submitted, Digest: res.Digest})
 		}
 		if opts.MaxLegs > 0 && res.LegsRun >= opts.MaxLegs && cp.At < spec.Span() {
-			return scenario.Pause // resumable: state and ledger are on disk
+			return scenario.Pause // resumable: the checkpoint is on disk
 		}
 		return nil
 	}
 
-	if resumed {
-		if err := verifyMeta(meta, tier, cfg, leg); err != nil {
+	st, header, err := core.LoadCheckpoint(statePath)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+			return nil, fmt.Errorf("universe: creating checkpoint directory: %w", err)
+		}
+		if d, err = scenario.NewDriver(cfg, spec, dopts); err != nil {
 			return nil, err
 		}
-		st, err := core.LoadStateFile(statePath)
-		if err != nil {
-			return nil, fmt.Errorf("universe: ledger %s exists but its snapshot is unreadable: %w", metaPath, err)
+	case err != nil:
+		return nil, fmt.Errorf("universe: %w", err)
+	default:
+		// A resume keeps everything in the ledger but the hours done.
+		var done ledger
+		if err := json.Unmarshal(header, &done); err != nil {
+			return nil, fmt.Errorf("universe: %s holds no readable run ledger: %w", statePath, err)
 		}
-		if err := verifySnapshot(st, tier, meta); err != nil {
+		run.HoursDone = done.HoursDone
+		if diff := settingDiff("", reflect.ValueOf(done), reflect.ValueOf(run)); diff != "" {
+			return nil, fmt.Errorf("universe: checkpoint was created with %s — a resume keeps its run's tier, leg length and engine settings and may change only the parallelism (start a fresh directory, or fork the snapshot)", diff)
+		}
+		if err := verifySnapshot(st, tier); err != nil {
 			return nil, err
+		}
+		res.Resumed, res.LegsTotal, res.At, res.Submitted = true, legs(run.HoursDone), time.Duration(run.HoursDone)*time.Hour, st.Submitted
+		if res.At >= spec.Span() {
+			// A finished run checkpoints no more: report its last state.
+			if res.Digest, err = StateDigest(st); err != nil {
+				return nil, err
+			}
 		}
 		// The stream is deterministic, so skipping the checkpointed
 		// hours replays the exact record sequence the snapshot
 		// consumed; the Driver's count check catches a divergent
-		// workload (wrong seed, edited ledger) that the ledger
-		// comparison could not.
-		d, err = scenario.ResumeDriver(st, core.RestoreOptions{Parallelism: cfg.Parallelism}, spec, meta.HoursDone, dopts)
+		// workload (an edited ledger) that the ledger comparison could
+		// not.
+		d, err = scenario.ResumeDriver(st, core.RestoreOptions{Parallelism: cfg.Parallelism}, spec, run.HoursDone, dopts)
 		if err != nil {
 			return nil, fmt.Errorf("universe: checkpoint %s: %w", statePath, err)
-		}
-	} else {
-		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("universe: creating checkpoint directory: %w", err)
-		}
-		meta = runMeta{Tier: tier, Strategy: cfg.StrategyLabel(), Leg: leg}
-		if d, err = scenario.NewDriver(cfg, spec, dopts); err != nil {
-			return nil, err
 		}
 	}
 
@@ -194,63 +196,28 @@ func LongRun(tier Config, base core.Config, opts LongRunOptions) (*LongRunResult
 	return res, nil
 }
 
-// loadMeta reads the run ledger; absent means a fresh run.
-func loadMeta(path string) (runMeta, bool, error) {
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return runMeta{}, false, nil
+// settingDiff names the first field where got and want differ, with
+// both values, or returns "".
+func settingDiff(path string, got, want reflect.Value) string {
+	if got.Kind() != reflect.Struct {
+		if got.Equal(want) {
+			return ""
+		}
+		return fmt.Sprintf("%s %v; requested %v", path, got, want)
 	}
-	if err != nil {
-		return runMeta{}, false, fmt.Errorf("universe: reading run ledger: %w", err)
+	for i := range got.NumField() {
+		if d := settingDiff(strings.TrimPrefix(path+"."+got.Type().Field(i).Name, "."), got.Field(i), want.Field(i)); d != "" {
+			return d
+		}
 	}
-	var m runMeta
-	if err := json.Unmarshal(b, &m); err != nil {
-		return runMeta{}, false, fmt.Errorf("universe: run ledger %s is corrupt: %w", path, err)
-	}
-	return m, true, nil
-}
-
-// saveMeta writes the ledger atomically, as the state file is written.
-func saveMeta(path string, m runMeta) error {
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return core.SaveFile(path, func(w io.Writer) error {
-		_, err := w.Write(append(b, '\n'))
-		return err
-	})
-}
-
-// verifyMeta rejects a resume whose request does not describe the
-// universe the checkpoint was created from, with an error that says
-// which knob differs.
-func verifyMeta(m runMeta, tier Config, cfg core.Config, leg time.Duration) error {
-	if m.Tier != tier {
-		return fmt.Errorf("universe: checkpoint was created by tier %s; requested %s — resume with the original tier or point the run at a fresh directory",
-			describeTier(m.Tier), describeTier(tier))
-	}
-	if m.Strategy != cfg.StrategyLabel() {
-		return fmt.Errorf("universe: checkpoint was created with strategy %q; requested %q — a long run cannot change strategy mid-flight (fork the snapshot instead)",
-			m.Strategy, cfg.StrategyLabel())
-	}
-	if m.Leg != leg {
-		return fmt.Errorf("universe: checkpoint uses %v legs; requested %v — leg length must stay fixed so leg boundaries align", m.Leg, leg)
-	}
-	return nil
-}
-
-// describeTier renders a tier's identity for mismatch errors.
-func describeTier(c Config) string {
-	return fmt.Sprintf("%q (%d subscribers / %d neighborhoods / %d programs / %d days, seed %d)",
-		c.Name, c.Subscribers, c.Neighborhoods, c.Catalog, c.Days, c.Seed)
+	return ""
 }
 
 // verifySnapshot cross-checks the engine snapshot against the tier:
 // the ledger names the universe, the snapshot must actually hold its
 // plant. Universe populations are dense, user i at position i, which
 // also rules out a repeated user.
-func verifySnapshot(st *core.SystemState, tier Config, m runMeta) error {
+func verifySnapshot(st *core.SystemState, tier Config) error {
 	if got := len(st.Users); got != tier.Subscribers {
 		return fmt.Errorf("universe: snapshot holds %d subscribers, tier %q builds %d", got, tier.Name, tier.Subscribers)
 	}
@@ -261,9 +228,6 @@ func verifySnapshot(st *core.SystemState, tier Config, m runMeta) error {
 		if u != trace.UserID(i) {
 			return fmt.Errorf("universe: snapshot population is not a universe population: position %d holds user %d", i, u)
 		}
-	}
-	if st.Submitted != m.Submitted {
-		return fmt.Errorf("universe: snapshot has %d submitted records, ledger says %d — the two files are from different runs", st.Submitted, m.Submitted)
 	}
 	return nil
 }

@@ -2,6 +2,9 @@ package universe
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,6 +15,7 @@ import (
 	"cablevod/internal/core"
 	"cablevod/internal/hfc"
 	"cablevod/internal/trace"
+	"cablevod/internal/units"
 )
 
 // runToCompletion drives LongRun in legsPerCall-sized invocations
@@ -137,10 +141,10 @@ func TestLongRunRejectsEditedLedger(t *testing.T) {
 	if _, err := LongRun(tier, core.Config{}, opts); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(opts.Dir, metaFileName)
+	path := filepath.Join(opts.Dir, stateFileName)
 	b, err := os.ReadFile(path)
 	if err == nil {
-		err = os.WriteFile(path, bytes.Replace(b, []byte(`"hours_done": 24,`), []byte(`"hours_done": 20,`), 1), 0o644)
+		err = os.WriteFile(path, bytes.Replace(b, []byte(`"hours_done":24}`), []byte(`"hours_done":20}`), 1), 0o644)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +156,7 @@ func TestLongRunRejectsEditedLedger(t *testing.T) {
 	}
 }
 
-// TestLongRunResumeStateOnDisk checks the checkpoint files exist and a
+// TestLongRunResumeStateOnDisk checks the checkpoint is one file, and a
 // mid-run invocation reports a resumable (not Done) result.
 func TestLongRunResumeStateOnDisk(t *testing.T) {
 	tier, err := Tier("quick")
@@ -167,10 +171,8 @@ func TestLongRunResumeStateOnDisk(t *testing.T) {
 	if res.Done || res.LegsRun != 1 || res.LegsTotal != 1 {
 		t.Fatalf("expected one resumable leg, got %+v", res)
 	}
-	for _, f := range []string{stateFileName, metaFileName} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-			t.Errorf("checkpoint file %s missing: %v", f, err)
-		}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 1 || files[0].Name() != stateFileName {
+		t.Errorf("checkpoint directory holds %v (%v), want %s alone", files, err, stateFileName)
 	}
 	if res.At != 24*time.Hour {
 		t.Errorf("first leg checkpoint at %v, want 24h", res.At)
@@ -179,7 +181,8 @@ func TestLongRunResumeStateOnDisk(t *testing.T) {
 
 // TestLongRunRejectsMismatchedResume pins the clear-error guard: a
 // checkpoint directory created by one universe cannot be resumed as
-// another, with a different strategy, or with a different leg length.
+// another, with a different engine setting, or with a different leg
+// length.
 func TestLongRunRejectsMismatchedResume(t *testing.T) {
 	quick, err := Tier("quick")
 	if err != nil {
@@ -201,14 +204,25 @@ func TestLongRunRejectsMismatchedResume(t *testing.T) {
 	reseeded.Seed = 99
 	if _, err := LongRun(reseeded, core.Config{}, LongRunOptions{Dir: dir, Leg: 24 * time.Hour}); err == nil {
 		t.Fatal("resume with a different seed accepted")
-	} else if !strings.Contains(err.Error(), "seed 99") {
+	} else if !strings.Contains(err.Error(), "Tier.Seed 1; requested 99") {
 		t.Fatalf("seed mismatch error does not show the seed: %v", err)
 	}
 
 	if _, err := LongRun(quick, core.Config{Strategy: core.StrategyLRU}, LongRunOptions{Dir: dir, Leg: 24 * time.Hour}); err == nil {
 		t.Fatal("resume with a different strategy accepted")
-	} else if !strings.Contains(err.Error(), "strategy") {
+	} else if !strings.Contains(err.Error(), "Strategy lfu; requested lru") {
 		t.Fatalf("strategy mismatch error is not clear: %v", err)
+	}
+
+	// Every other engine setting is the run's too; only the parallelism
+	// may change.
+	for want, cfg := range map[string]core.Config{
+		"Engine.WarmupDays 0; requested 2": {WarmupDays: 2},
+		"Engine.Topology.PerPeerStorage":   {Topology: hfc.Config{PerPeerStorage: 5 * units.GB}},
+	} {
+		if _, err := LongRun(quick, cfg, LongRunOptions{Dir: dir, Leg: 24 * time.Hour}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("resume with a changed engine setting: err = %v, want it to say %q", err, want)
+		}
 	}
 
 	if _, err := LongRun(quick, core.Config{}, LongRunOptions{Dir: dir, Leg: 12 * time.Hour}); err == nil {
@@ -218,7 +232,7 @@ func TestLongRunRejectsMismatchedResume(t *testing.T) {
 	}
 
 	// Matching everything resumes cleanly to completion.
-	done, err := LongRun(quick, core.Config{}, LongRunOptions{Dir: dir, Leg: 24 * time.Hour})
+	done, err := LongRun(quick, core.Config{Parallelism: 3}, LongRunOptions{Dir: dir, Leg: 24 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +241,64 @@ func TestLongRunRejectsMismatchedResume(t *testing.T) {
 	}
 }
 
-// TestLongRunRejectsForeignSnapshot swaps in a snapshot from a
-// different run behind a matching ledger; the cross-checks must refuse
-// to continue rather than silently simulate a chimera.
+// TestLongRunResumesCrashOutcomes rebuilds what a crash during a leg's
+// checkpoint leaves: the previous leg's state.snap beside a temp file
+// holding the next leg's file cut at a section boundary (from the empty
+// file to the whole one, not yet renamed), or such a temp with no
+// state.snap when the first leg's checkpoint crashed. Run to the end
+// from either, the run reaches the digest of an uninterrupted one.
+func TestLongRunResumesCrashOutcomes(t *testing.T) {
+	tier, err := Tier("mega-lite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := core.Config{Parallelism: 1}
+	var legs [][]byte // state.snap after each leg
+	var want string
+	for dir := t.TempDir(); want == ""; {
+		res, err := LongRun(tier, base, LongRunOptions{Dir: dir, MaxLegs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(res.StatePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legs = append(legs, b)
+		if res.Done {
+			want = res.Digest
+		}
+	}
+	prev, next := legs[len(legs)-2], legs[len(legs)-1]
+	cuts := []int{0, bytes.IndexByte(next, '\n') + 1}
+	for i := cuts[1]; i < len(next); {
+		size, n := binary.Uvarint(next[i:])
+		i += n + int(size) + crc32.Size
+		cuts = append(cuts, i)
+	}
+	crash := func(t *testing.T, state []byte, cut int) {
+		dir := t.TempDir()
+		err := os.WriteFile(filepath.Join(dir, ".snapshot-2973604126"), next[:cut], 0o600)
+		if err == nil && state != nil {
+			err = os.WriteFile(filepath.Join(dir, stateFileName), state, 0o600)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := LongRun(tier, base, LongRunOptions{Dir: dir})
+		if err != nil || !res.Done || res.Resumed != (state != nil) || res.Digest != want {
+			t.Errorf("temp cut at byte %d of %d: %+v, %v; want a finished run with digest %s", cut, len(next), res, err, want)
+		}
+	}
+	for _, cut := range cuts {
+		t.Run(fmt.Sprintf("previous leg, temp cut at %d", cut), func(t *testing.T) { crash(t, prev, cut) })
+	}
+	t.Run("no state file", func(t *testing.T) { crash(t, nil, cuts[len(cuts)/2]) })
+}
+
+// TestLongRunRejectsForeignSnapshot swaps in the checkpoint of a run
+// with another seed; the ledger in its header must refuse it rather
+// than silently simulate a chimera.
 func TestLongRunRejectsForeignSnapshot(t *testing.T) {
 	quick, err := Tier("quick")
 	if err != nil {
@@ -252,7 +321,7 @@ func TestLongRunRejectsForeignSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := LongRun(quick, core.Config{}, LongRunOptions{Dir: dirA, Leg: 24 * time.Hour}); err == nil {
-		t.Fatal("foreign snapshot behind a matching ledger accepted")
+		t.Fatal("a checkpoint of another seed accepted")
 	}
 }
 
@@ -264,7 +333,7 @@ func TestVerifySnapshotPopulation(t *testing.T) {
 	st := &core.SystemState{Config: core.Config{Topology: hfc.Config{NeighborhoodSize: 4}}}
 	for users, ok := range map[[4]trace.UserID]bool{{0, 1, 2, 3}: true, {0, 1, 1, 2}: false, {0, 2, 1, 3}: false} {
 		st.Users = users[:]
-		if err := verifySnapshot(st, tier, runMeta{}); (err == nil) != ok {
+		if err := verifySnapshot(st, tier); (err == nil) != ok {
 			t.Errorf("users %v: err = %v, want ok %v", users, err, ok)
 		}
 	}

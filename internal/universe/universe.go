@@ -10,8 +10,9 @@
 // engine's hot per-session state, which internal/core keeps in
 // shard-owned slabs for exactly this reason. The package adds the
 // remaining discipline: a process memory reading (MeasureFootprint,
-// PeakRSS), and LongRun, a scenario.Driver plus a ledger, which splits
-// a multi-day run into resumable checkpointed legs.
+// PeakRSS), and LongRun, a scenario.Driver plus a run ledger in its
+// checkpoint's header, which splits a multi-day run into resumable
+// checkpointed legs.
 //
 // Determinism contract: a tier's runs are bit-identical across
 // engine parallelism and across checkpoint/resume boundaries. The
